@@ -1,6 +1,8 @@
 #include "orchestrator/fleet.h"
 
 #include <csignal>
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -9,6 +11,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -16,6 +19,7 @@
 #include "common/require.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "orchestrator/work_queue.h"
 
 namespace bbrmodel::orchestrator {
@@ -25,6 +29,30 @@ namespace {
 volatile std::sig_atomic_t g_fleet_stop = 0;
 
 void fleet_signal_handler(int) { g_fleet_stop = 1; }
+
+/// Self-pipe the SIGCHLD handler writes one byte to, so the monitor's
+/// idle wait wakes the moment a worker exits instead of at its next poll.
+int g_child_pipe[2] = {-1, -1};
+
+void fleet_child_handler(int) {
+  const int saved = errno;
+  const char byte = 0;
+  // A full pipe already holds a pending wake-up; nothing more to say.
+  [[maybe_unused]] const auto n = ::write(g_child_pipe[1], &byte, 1);
+  errno = saved;
+}
+
+/// Sleep up to `seconds`, waking early on a worker exit (SIGCHLD) or a
+/// stop signal; drains the pending wake-ups.
+void wait_for_child(double seconds) {
+  pollfd fd = {};
+  fd.fd = g_child_pipe[0];
+  fd.events = POLLIN;
+  ::poll(&fd, 1, static_cast<int>(std::ceil(seconds * 1000.0)));
+  char sink[64];
+  while (::read(g_child_pipe[0], sink, sizeof sink) > 0) {
+  }
+}
 
 /// One worker slot: where it runs, what it is called, and its liveness.
 struct Slot {
@@ -37,6 +65,9 @@ struct Slot {
   bool finished = false;  // exited after the plan completed
   bool scaling_down = false;  // SIGTERMed by the autoscaler: its exit is a
                               // planned drain, never a strike
+  // When the last process died; a slot on strikes waits one poll before
+  // respawning, so a flapping host is not abandoned within milliseconds.
+  std::chrono::steady_clock::time_point died_at;
 };
 
 /// Did this slot's last worker process publish anything? Its stats file
@@ -200,8 +231,9 @@ FleetReport run_fleet(const FleetOptions& options) {
   }
   // The header lines alone give the size — a million-cell plan is never
   // parsed just to know when the fleet may stand down.
+  const auto size_hint = queue.plan_size_hint();
   const std::size_t plan_size =
-      queue.plan_size_hint().value_or(queue.load_plan().size());
+      size_hint ? *size_hint : queue.load_plan().size();
 
   const bool autoscaling = options.autoscale.has_value();
   const AutoscalePolicy policy =
@@ -234,14 +266,21 @@ FleetReport run_fleet(const FleetOptions& options) {
         std::to_string(i));
   }
 
+  BBRM_REQUIRE_MSG(::pipe2(g_child_pipe, O_CLOEXEC | O_NONBLOCK) == 0,
+                   std::string("fleet cannot create its wake-up pipe: ") +
+                       std::strerror(errno));
   // SIGINT/SIGTERM tear the whole fleet down instead of orphaning
   // children; the previous handlers come back before returning.
   g_fleet_stop = 0;
   struct sigaction action = {};
   action.sa_handler = fleet_signal_handler;
-  struct sigaction old_int = {}, old_term = {};
+  struct sigaction old_int = {}, old_term = {}, old_chld = {};
   ::sigaction(SIGINT, &action, &old_int);
   ::sigaction(SIGTERM, &action, &old_term);
+  struct sigaction child_action = {};
+  child_action.sa_handler = fleet_child_handler;
+  child_action.sa_flags = SA_RESTART | SA_NOCLDSTOP;
+  ::sigaction(SIGCHLD, &child_action, &old_chld);
 
   FleetReport report;
   const auto launch = [&](std::size_t slot_index) {
@@ -253,6 +292,7 @@ FleetReport run_fleet(const FleetOptions& options) {
     const pid_t pid = spawn(worker_argv(options, slot));
     if (pid < 0) {
       ++slot.strikes;  // a fork failure is a death; retry next tick
+      slot.died_at = std::chrono::steady_clock::now();
       return;
     }
     slot.ever_spawned = true;
@@ -268,12 +308,22 @@ FleetReport run_fleet(const FleetOptions& options) {
     if (respawn) obs::Registry::global().counter("fleet.respawns").add();
   };
 
+  // Worker exits wake the monitor at once (SIGCHLD); between them it polls
+  // the plan's completion ever faster as the plan nears its end, while
+  // scaling decisions keep the --poll cadence.
+  CompletionWait completion(queue, plan_size, options.poll_s);
+  const std::chrono::duration<double> poll(options.poll_s);
+  std::chrono::steady_clock::time_point last_scale;  // epoch: due at once
   while (!g_fleet_stop) {
     // Fill every empty slot up to the current target (first pass spawns
     // the initial fleet); slots out of strikes are abandoned instead.
     for (std::size_t i = 0; i < target; ++i) {
       Slot& slot = slots[i];
       if (slot.pid >= 0 || slot.abandoned || slot.finished) continue;
+      if (slot.strikes > 0 &&
+          std::chrono::steady_clock::now() - slot.died_at < poll) {
+        continue;
+      }
       if (slot.strikes >= options.max_strikes) {
         slot.abandoned = true;
         ++report.abandoned_slots;
@@ -303,13 +353,14 @@ FleetReport run_fleet(const FleetOptions& options) {
       // for us, so it must go through the respawn/strike path rather
       // than pin the slot as alive forever.
       slot.pid = -1;
+      slot.died_at = std::chrono::steady_clock::now();
       if (slot.scaling_down) {
         // A planned drain, not a death: no strike either way, and the
         // slot only refills if the target grows back over it.
         slot.scaling_down = false;
         continue;
       }
-      if (queue.done_count() >= plan_size) {
+      if (completion.poll()) {
         slot.finished = true;
         continue;
       }
@@ -325,12 +376,14 @@ FleetReport run_fleet(const FleetOptions& options) {
       }
     }
 
-    if (queue.done_count() >= plan_size) {
+    if (completion.poll()) {
       report.completed = true;
       break;
     }
 
-    if (autoscaling) {
+    if (autoscaling &&
+        std::chrono::steady_clock::now() - last_scale >= poll) {
+      last_scale = std::chrono::steady_clock::now();
       const ScaleInputs inputs = gather_scale_inputs(queue);
       // Every decision tick records its inputs, so a merged timeline or
       // `status --metrics` can answer "why did the fleet (not) scale?".
@@ -400,7 +453,8 @@ FleetReport run_fleet(const FleetOptions& options) {
           (i < target && !slot.abandoned && !slot.finished);
     }
     if (!work_possible) break;  // every slot abandoned, plan incomplete
-    sleep_s(options.poll_s);
+    obs::Span idle("idle", "queue");
+    wait_for_child(completion.interval_s());
   }
 
   // Wind down: on completion workers exit on their own; on a signal or an
@@ -416,8 +470,12 @@ FleetReport run_fleet(const FleetOptions& options) {
       ::waitpid(slot.pid, &status, 0);
     }
   }
+  ::sigaction(SIGCHLD, &old_chld, nullptr);
   ::sigaction(SIGINT, &old_int, nullptr);
   ::sigaction(SIGTERM, &old_term, nullptr);
+  ::close(g_child_pipe[0]);
+  ::close(g_child_pipe[1]);
+  g_child_pipe[0] = g_child_pipe[1] = -1;
   return report;
 }
 

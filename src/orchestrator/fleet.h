@@ -81,7 +81,7 @@ struct FleetOptions {
   /// `remote_command` on PATH.
   std::vector<std::string> ssh_hosts;
   /// Extra flags forwarded verbatim to every `bbrsweep worker` (e.g.
-  /// --batch 8 --threads 4 --cache-dir /shared/cells).
+  /// --threads 4 --cache-dir /shared/cells).
   std::vector<std::string> worker_args;
   /// Local bbrsweep binary to exec (usually /proc/self/exe).
   std::string self_path;
@@ -90,7 +90,9 @@ struct FleetOptions {
   /// Consecutive slot deaths *without queue progress* before the slot is
   /// abandoned (a crash that moved the done-count resets the strikes).
   std::size_t max_strikes = 5;
-  /// Monitor poll cadence.
+  /// Ceiling of the monitor's completion poll (see CompletionWait) and
+  /// the autoscaler's decision cadence; a worker exit (SIGCHLD) wakes the
+  /// monitor at once.
   double poll_s = 0.5;
   /// How long to wait for a coordinator to seed the plan before failing.
   double plan_wait_s = 60.0;
@@ -116,6 +118,7 @@ struct FleetReport {
 /// filled until every cell has a result, then reap the children (workers
 /// exit on their own once the plan is done). SIGINT/SIGTERM tear the
 /// fleet down (children get SIGTERM) and return with completed=false.
+/// SIGCHLD has a handler for the duration of the call (restored after).
 /// Throws PreconditionError when no plan appears within plan_wait_s.
 FleetReport run_fleet(const FleetOptions& options);
 

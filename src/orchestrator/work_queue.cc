@@ -484,6 +484,119 @@ std::string default_worker_id() {
                             std::to_string(::getpid()));
 }
 
+std::size_t segment_cells_for(std::size_t cells) {
+  constexpr std::size_t kClaimUnits = 64;
+  constexpr std::size_t kMaxSegment = 512;
+  return std::clamp<std::size_t>((cells + kClaimUnits - 1) / kClaimUnits, 1,
+                                 kMaxSegment);
+}
+
+double completion_poll_s(std::size_t remaining, std::size_t progressed,
+                         double elapsed_s, double ceiling_s) {
+  const double floor_s = std::min(0.01, ceiling_s);
+  const double next_s =
+      progressed == 0
+          ? 0.25 * elapsed_s
+          : 0.25 * static_cast<double>(remaining) * elapsed_s /
+                static_cast<double>(progressed);
+  return std::clamp(next_s, floor_s, ceiling_s);
+}
+
+namespace {
+
+double steady_now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
+CompletionWait::CompletionWait(const WorkQueue& queue, std::size_t plan_size,
+                               double ceiling_s)
+    : queue_(queue), plan_size_(plan_size), ceiling_s_(ceiling_s) {
+  BBRM_REQUIRE_MSG(ceiling_s_ > 0.0, "poll interval must be positive");
+}
+
+bool CompletionWait::poll() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (complete_) return true;
+  }
+  const std::size_t done = queue_.done_count();
+  const double now = steady_now_s();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!anchor_) first_s_ = now;
+  // The rate anchor trails the observations until the count first moves,
+  // so start-up dead time (workers still launching) never dilutes it.
+  if (!anchor_ || anchor_->second == done) anchor_.emplace(now, done);
+  gap_s_ = now - last_.first;
+  last_ = {now, done};
+  if (done >= plan_size_) {
+    complete_ = true;
+    cv_.notify_all();
+  }
+  return complete_;
+}
+
+double CompletionWait::interval_s() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return interval_locked();
+}
+
+double CompletionWait::interval_locked() const {
+  if (!anchor_) return completion_poll_s(plan_size_, 0, 0.0, ceiling_s_);
+  const std::size_t remaining =
+      plan_size_ > last_.second ? plan_size_ - last_.second : 0;
+  const std::size_t progressed =
+      last_.second > anchor_->second ? last_.second - anchor_->second : 0;
+  const double since = progressed > 0 ? anchor_->first : first_s_;
+  // A rate estimated from the first few cells can be far too low; letting
+  // the interval at most double per poll gives the estimate time to
+  // settle before a long sleep is trusted.
+  return std::min(completion_poll_s(remaining, progressed,
+                                    last_.first - since, ceiling_s_),
+                  std::max(2.0 * gap_s_, std::min(0.01, ceiling_s_)));
+}
+
+bool CompletionWait::wait() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (complete_) return true;
+  const std::uint64_t seen = generation_;
+  const auto woken = [&] { return complete_ || generation_ != seen; };
+  if (polling_) {
+    // A sibling is the poller: sleep until it sees completion or work
+    // changes hands, at most one ceiling (then retry claims).
+    cv_.wait_for(lock, std::chrono::duration<double>(ceiling_s_), woken);
+    return complete_;
+  }
+  polling_ = true;
+  if (!dirty_) {
+    cv_.wait_for(lock, std::chrono::duration<double>(interval_locked()),
+                 woken);
+  }
+  dirty_ = false;
+  lock.unlock();
+  bool complete = false;
+  try {
+    complete = poll();
+  } catch (...) {
+    lock.lock();
+    polling_ = false;
+    throw;
+  }
+  lock.lock();
+  polling_ = false;
+  return complete;
+}
+
+void CompletionWait::notify() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  dirty_ = true;
+  ++generation_;
+  cv_.notify_all();
+}
+
 WorkQueue::WorkQueue(std::string dir, double lease_s, double skew_margin_s)
     : dir_(std::move(dir)),
       lease_s_(lease_s),
@@ -617,6 +730,12 @@ std::optional<std::size_t> WorkQueue::plan_size_hint() const {
   } catch (...) {
     return std::nullopt;
   }
+}
+
+std::size_t WorkQueue::segment_cells() const {
+  if (layout() != QueueLayout::kSegment) return 0;
+  const auto stored = read_stored_counters(counters_path());
+  return stored ? stored->segment_cells : 0;
 }
 
 std::optional<fs::file_time_type> WorkQueue::probe_now() const {
@@ -952,13 +1071,9 @@ void WorkQueue::trim(Claim& claim, std::size_t keep) const {
       claim.indices.begin() + static_cast<std::ptrdiff_t>(keep));
   // Re-enqueue the surplus *before* shrinking the manifest: if this
   // worker dies in between, recovery re-enqueues the surplus again from
-  // the fat manifest (benign overwrite) — the reverse order could strand
-  // cells in no state at all.
-  std::vector<std::string> requeued;
-  for (const std::size_t index : surplus) {
-    write_file_atomically(pending_path(index), "queued\n", "queue cell");
-    requeued.push_back(index_name(index) + ".cell");
-  }
+  // the fat manifest (a benign duplicate) — the reverse order could
+  // strand cells in no state at all.
+  std::vector<std::string> requeued = requeue(surplus);
   // The manifest moves to a name advertising the kept count (progress
   // counts cells from names alone). A crash between the write and the
   // remove leaves both manifests — recovery re-enqueues from each, a
@@ -1079,16 +1194,37 @@ void WorkQueue::release(const Claim& claim) const {
     release(claim.indices.front(), name.substr(first + 1, last - first - 1));
     return;
   }
-  std::vector<std::string> requeued;
-  std::optional<std::unique_lock<std::mutex>> result_lock;
-  for (const std::size_t index : claim.indices) {
-    if (result_published(index, result_lock)) continue;  // already landed
-    write_file_atomically(pending_path(index), "queued\n", "queue cell");
-    requeued.push_back(index_name(index) + ".cell");
+  std::vector<std::size_t> unpublished;
+  {
+    std::optional<std::unique_lock<std::mutex>> result_lock;
+    for (const std::size_t index : claim.indices) {
+      if (!result_published(index, result_lock)) unpublished.push_back(index);
+    }
   }
-  result_lock.reset();
+  std::vector<std::string> requeued = requeue(unpublished);
   finish(claim);
   backlog_insert(std::move(requeued));
+}
+
+std::vector<std::string> WorkQueue::requeue(
+    const std::vector<std::size_t>& members) const {
+  std::vector<std::string> names;
+  if (layout() == QueueLayout::kSegment && members.size() > 1) {
+    // Pending entries hold disjoint cells outside crash windows, so the
+    // (first member, count) name cannot collide with a different live
+    // entry; a crash-window duplicate re-runs benignly (deterministic
+    // runners publish identical bytes, and the first record wins).
+    const std::string path =
+        pending_batch_path(members.front(), members.size());
+    write_file_atomically(path, encode_batch(members), "queue batch");
+    names.push_back(fs::path(path).filename().string());
+    return names;
+  }
+  for (const std::size_t index : members) {
+    write_file_atomically(pending_path(index), "queued\n", "queue cell");
+    names.push_back(index_name(index) + ".cell");
+  }
+  return names;
 }
 
 /// Has a result for `index` landed, in whichever representation this
@@ -1240,13 +1376,16 @@ std::size_t WorkQueue::recover_expired() const {
       const auto members =
           read_batch_members_if_present(entry.path().string());
       if (!members) continue;
+      std::vector<std::size_t> unpublished;
       for (const std::size_t member : *members) {
-        if (result_published(member, result_lock)) continue;
-        write_file_atomically(pending_path(member), "queued\n",
-                              "queue cell");
-        requeued.push_back(index_name(member) + ".cell");
-        ++recovered;
+        if (!result_published(member, result_lock)) {
+          unpublished.push_back(member);
+        }
       }
+      for (std::string& name : requeue(unpublished)) {
+        requeued.push_back(std::move(name));
+      }
+      recovered += unpublished.size();
       fs::remove(entry.path(), ec);
       continue;
     }
@@ -1690,9 +1829,13 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
                         const WorkerConfig& config) {
   require_worker_id(config.worker_id);
   BBRM_REQUIRE_MSG(config.poll_s > 0.0, "poll interval must be positive");
-  BBRM_REQUIRE_MSG(config.batch >= 1, "batch size must be at least 1");
   const std::string& worker_id = config.worker_id;
   const std::size_t max_cells = config.max_cells;
+  // The claim cap: an explicit batch, else one whole seed-time segment
+  // (one cell on a per-cell layout queue, which records no segment size).
+  const std::size_t claim_cells =
+      config.batch != 0 ? config.batch
+                        : std::max<std::size_t>(1, queue.segment_cells());
 
   // One options template per claimed unit: tasks go through the ordinary
   // engine path, so caching, timeout, and retry behave exactly as in a
@@ -1705,9 +1848,21 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
   cell_options.refine = nullptr;
   cell_options.progress = nullptr;
   cell_options.batch_cells = config.batch_cells;
-  if (!cell_options.runner && !plan.runner_name().empty()) {
-    cell_options.runner = sweep::runner_by_name(plan.runner_name());
+  if (!cell_options.runner) {
+    cell_options.runner = plan.runner_name().empty()
+                              ? sweep::backend_runner()
+                              : sweep::runner_by_name(plan.runner_name());
   }
+  // Which cells of a claim go through one grouped run_tasks call — the
+  // ones run_tasks would batch (see sweep::SweepOptions::batch_cells);
+  // every other cell runs and publishes on its own, so a crash mid-claim
+  // loses at most the cell (or lockstep batch) in progress.
+  const sweep::Runner& runner = cell_options.runner;
+  const std::size_t requested = cell_options.batch_cells == 0
+                                    ? runner.preferred_batch
+                                    : cell_options.batch_cells;
+  const bool batching = runner.run_batch && requested > 1 &&
+                        cell_options.timeout_s <= 0.0;
 
   const auto started = std::chrono::steady_clock::now();
   std::atomic<std::size_t> completed{0};
@@ -1813,15 +1968,44 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
       1, options.threads != 0 ? options.threads
                               : sweep::ThreadPool::hardware_threads());
 
+  // Idle loops wait here together: one polls the plan's completion, the
+  // others sleep until it is seen or a sibling finishes a claim.
+  CompletionWait completion(queue, plan.size(), config.poll_s);
+  // Lease recovery keeps the poll cadence however often idle loops wake;
+  // the first empty claim recovers at once.
+  std::atomic<std::int64_t> last_recover_ms{-1};
+  const auto recovery_due = [&] {
+    const std::int64_t now_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - started)
+            .count();
+    std::int64_t last = last_recover_ms.load();
+    if (last >= 0 && static_cast<double>(now_ms - last) <
+                         1000.0 * config.poll_s) {
+      return false;
+    }
+    return last_recover_ms.compare_exchange_strong(last, now_ms);
+  };
+  const auto publish_row = [&](const sweep::TaskResult& row) {
+    queue.publish(row, worker_id);
+    queue_metrics().cells_published.add();
+    in_flight_cells.fetch_sub(1);
+    completed.fetch_add(1);
+    if (!row.ok) failed.fetch_add(1);
+    // A kill mid-claim must still find this cell's credit in the stats
+    // file (throttled, so fast drains keep their write budget for
+    // results).
+    write_stats_throttled();
+  };
+
   const auto claim_loop = [&] {
     while (!abort.load()) {
-      std::size_t reserved = config.batch;
+      std::size_t reserved = claim_cells;
       if (max_cells != 0) {
         std::size_t spent = budget.load();
         while (true) {
           if (spent >= max_cells) return;  // budget exhausted
-          const std::size_t take =
-              std::min(config.batch, max_cells - spent);
+          const std::size_t take = std::min(claim_cells, max_cells - spent);
           if (budget.compare_exchange_weak(spent, spent + take)) {
             reserved = take;
             break;
@@ -1833,7 +2017,7 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
       {
         obs::Span span("claim", "queue");
         claim = queue.try_claim_batch(worker_id, reserved);
-        if (!claim) {
+        if (!claim && recovery_due()) {
           // Nothing pending: a crashed peer may be holding expired leases.
           obs::Span recover_span("recover", "queue");
           queue.recover_expired();
@@ -1853,9 +2037,8 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
       }
       if (!claim) {
         if (max_cells != 0) budget.fetch_sub(reserved);  // nothing to spend
-        if (queue.done_count() >= plan.size()) return;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(config.poll_s));
+        obs::Span span("idle", "queue");
+        if (completion.wait()) return;
         continue;
       }
       // `charged` tracks the budget slots this claim still holds, so the
@@ -1864,8 +2047,8 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
       std::size_t published = 0;
       bool registered = false;
       try {
-        // A pre-chunked batch may exceed the reservation (it is claimed
-        // whole by one rename); give the surplus back so --batch and
+        // A pending entry is claimed whole by one rename and may exceed
+        // the reservation; give the surplus back so the claim cap and
         // --max-cells stay exact.
         if (claim->indices.size() > reserved) {
           queue.trim(*claim, reserved);
@@ -1881,51 +2064,35 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
         }
         registered = true;
         in_flight_cells.fetch_add(claim->indices.size());
-        if (cell_options.batch_cells == 1 || claim->indices.size() == 1) {
-          for (const std::size_t index : claim->indices) {
-            const sweep::SweepTask& cell = plan.cell_by_index(index);
-            const auto result = sweep::run_tasks({cell}, cell_options);
-            {
-              obs::Span span("append", "queue");
-              queue.publish(result.row(0), worker_id);
-            }
-            queue_metrics().cells_published.add();
-            ++published;
-            in_flight_cells.fetch_sub(1);
-            completed.fetch_add(1);
-            if (!result.row(0).ok) failed.fetch_add(1);
-            // A kill mid-batch must still find this cell's credit in the
-            // stats file (throttled, so fast drains keep their write
-            // budget for results).
-            write_stats_throttled();
+        // run_tasks wants strictly increasing task indices; a claim's
+        // members may be coalesced singles in any order.
+        std::vector<std::size_t> ordered(claim->indices);
+        std::sort(ordered.begin(), ordered.end());
+        std::vector<sweep::SweepTask> grouped;
+        for (const std::size_t index : ordered) {
+          const sweep::SweepTask& cell = plan.cell_by_index(index);
+          if (batching && runner.can_batch(cell)) {
+            grouped.push_back(cell);
+            continue;
           }
-        } else {
-          // Group the unit's cells through one run_tasks call so a
-          // batch-capable runner integrates compatible cells in lockstep
-          // (bitwise identical to the cell-at-a-time path, just faster).
-          // run_tasks wants strictly increasing task indices; a claim's
-          // members may be coalesced singles in any order.
-          std::vector<std::size_t> ordered(claim->indices);
-          std::sort(ordered.begin(), ordered.end());
-          std::vector<sweep::SweepTask> unit;
-          unit.reserve(ordered.size());
-          for (const std::size_t index : ordered) {
-            unit.push_back(plan.cell_by_index(index));
-          }
-          const auto result = sweep::run_tasks(unit, cell_options);
+          const auto result = sweep::run_tasks({cell}, cell_options);
           obs::Span span("append", "queue");
-          span.arg("cells", static_cast<std::uint64_t>(unit.size()));
-          for (std::size_t k = 0; k < unit.size(); ++k) {
-            queue.publish(result.row(k), worker_id);
-            queue_metrics().cells_published.add();
+          publish_row(result.row(0));
+          ++published;
+        }
+        if (!grouped.empty()) {
+          // Lockstep batches form exactly as in a plain run_sweep (bitwise
+          // identical to the cell-at-a-time path, just faster).
+          const auto result = sweep::run_tasks(grouped, cell_options);
+          obs::Span span("append", "queue");
+          span.arg("cells", static_cast<std::uint64_t>(grouped.size()));
+          for (std::size_t k = 0; k < grouped.size(); ++k) {
+            publish_row(result.row(k));
             ++published;
-            in_flight_cells.fetch_sub(1);
-            completed.fetch_add(1);
-            if (!result.row(k).ok) failed.fetch_add(1);
-            write_stats_throttled();
           }
         }
         queue.finish(*claim);
+        completion.notify();
         write_stats_throttled();
       } catch (...) {
         // Give the unfinished members back right away (and stop
@@ -1959,9 +2126,12 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
     try {
       claim_loop();
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!first_error) first_error = std::current_exception();
-      abort.store(true);
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!first_error) first_error = std::current_exception();
+        abort.store(true);
+      }
+      completion.notify();  // idle siblings must see the abort now
     }
   };
 

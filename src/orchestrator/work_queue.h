@@ -74,6 +74,7 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -220,7 +221,8 @@ class WorkQueue {
   /// chunked into segments of that many cells (superseding `batch`),
   /// results go to per-worker logs, and status is O(1) through the
   /// counters file. 0 keeps the legacy per-cell layout with `batch`-cell
-  /// chunking.
+  /// chunking. `bbrsweep coordinator` always seeds the segment layout,
+  /// sized by segment_cells_for() unless --segment-cells overrides it.
   void seed(const ExecutionPlan& plan, std::size_t batch = 1,
             std::size_t segment_cells = 0) const;
 
@@ -234,6 +236,10 @@ class WorkQueue {
   /// The stored plan's cell count from its header lines alone — no full
   /// parse of a million specs. nullopt when no plan is stored.
   std::optional<std::size_t> plan_size_hint() const;
+
+  /// The seed-time segment size from the counters file; 0 on a per-cell
+  /// layout queue (or before a plan is seeded). The default claim cap.
+  std::size_t segment_cells() const;
 
   /// The lease duration / skew margin the seeding coordinator recorded in
   /// `dir`, if any. Workers adopt them unless explicitly overridden —
@@ -260,10 +266,11 @@ class WorkQueue {
                                        std::size_t max_cells) const;
 
   /// Give the tail of an oversized claim back to the queue: members past
-  /// `keep` are re-enqueued as pending singles and the claim's manifest
+  /// `keep` are re-enqueued (as one pending segment entry on the segment
+  /// layout, as singles on the per-cell one) and the claim's manifest
   /// shrinks to the kept members (the owning worker is baked into the
-  /// claim). Needed when a pre-chunked batch exceeds a worker's --batch
-  /// or its remaining --max-cells budget.
+  /// claim). Needed when a claimed entry exceeds a worker's claim cap or
+  /// its remaining --max-cells budget.
   void trim(Claim& claim, std::size_t keep) const;
 
   /// Heartbeat: refresh the lease on a cell this worker claimed. Returns
@@ -300,8 +307,9 @@ class WorkQueue {
   void release(std::size_t index, const std::string& worker_id) const;
 
   /// Release a whole claim: members without a published result go back to
-  /// pending (as singles), published ones are left done, and the claim
-  /// file is dropped.
+  /// pending (one segment entry on the segment layout, singles on the
+  /// per-cell one), published ones are left done, and the claim file is
+  /// dropped.
   void release(const Claim& claim) const;
 
   /// Number of *distinct* finished cells — the completion check worker
@@ -321,8 +329,8 @@ class WorkQueue {
   /// Re-enqueue every active entry whose lease expired (probe-relative
   /// mtime delta > lease + skew margin); stale claims whose result was
   /// already published are simply dropped, and an expired batch
-  /// re-enqueues only its unpublished members. Returns how many cells
-  /// went back to pending.
+  /// re-enqueues only its unpublished members (as one segment entry on the
+  /// segment layout). Returns how many cells went back to pending.
   std::size_t recover_expired() const;
 
   /// Counts for progress displays and completion checks (done counts
@@ -400,6 +408,12 @@ class WorkQueue {
   /// Put re-enqueued pending names back into the cached claim backlog at
   /// their sorted positions, so peers see them without a full relist.
   void backlog_insert(std::vector<std::string> names) const;
+  /// Write unpublished `members` (ascending) back to pending and return
+  /// the names written: one entry for the lot on the segment layout —
+  /// a split never turns a segment into K single files — and one single
+  /// per member on the per-cell layout.
+  std::vector<std::string> requeue(
+      const std::vector<std::size_t>& members) const;
 
   /// Segment layout internals. One record of a worker's result log,
   /// located for on-demand reads.
@@ -487,6 +501,71 @@ std::string sanitize_worker_id(std::string id);
 /// Filesystem-safe default worker identity: <hostname>-<pid>.
 std::string default_worker_id();
 
+/// The segment size a plan of `cells` cells is seeded with by default:
+/// ceil(cells / 64) clamped to [1, 512] — about 64 claim units per plan,
+/// so every worker gets several claims while a big plan stays at
+/// O(cells / 512) queue files (196 -> 4, 4000 -> 63, 50k -> 512).
+/// Never decreases as the plan grows.
+std::size_t segment_cells_for(std::size_t cells);
+
+/// The next completion poll interval: a quarter of the expected time to
+/// finish (`remaining` cells at the rate `progressed` cells per
+/// `elapsed_s`), or a quarter of the time waited so far while nothing has
+/// progressed (a geometric back-off), clamped to
+/// [min(0.01 s, ceiling_s), ceiling_s]. So polls grow sparse on a long
+/// plan and dense as it nears the end, and the completion is seen within
+/// about a quarter of the time it took.
+double completion_poll_s(std::size_t remaining, std::size_t progressed,
+                         double elapsed_s, double ceiling_s);
+
+/// The one way a queue participant waits for its plan to complete — the
+/// worker's idle claim loops, the fleet monitor, and the coordinator's
+/// watch loop all use it. poll() is one exact done_count() check;
+/// interval_s() says when the next one is worth making
+/// (completion_poll_s over what the polls have seen, the rate measured
+/// from the last poll before the count first moved, and the interval at
+/// most doubling from one poll to the next). wait() is the
+/// in-process blocking form: one caller at a time polls, the others sleep
+/// until it sees completion, notify() is called (a sibling finished a
+/// claim, so the plan may be done or work may be back), or `ceiling_s`
+/// passes. Thread-safe.
+class CompletionWait {
+ public:
+  CompletionWait(const WorkQueue& queue, std::size_t plan_size,
+                 double ceiling_s);
+
+  /// One done_count() check; true (and sticky) once the plan is complete.
+  bool poll();
+  /// Seconds until the next poll is worth making.
+  double interval_s() const;
+  /// Block as described above, then report completion.
+  bool wait();
+  /// Wake wait()ers: the next poll happens at once.
+  void notify();
+
+ private:
+  double interval_locked() const;
+
+  const WorkQueue& queue_;
+  const std::size_t plan_size_;
+  const double ceiling_s_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  bool complete_ = false;
+  bool polling_ = false;
+  /// Something changed since the last poll (set by notify, and initially).
+  bool dirty_ = true;
+  std::uint64_t generation_ = 0;
+  /// Observations (steady seconds, done count): the last one before the
+  /// count first moved (rate anchor; unset before the first poll) and the
+  /// latest, plus the first poll's time (the back-off origin).
+  std::optional<std::pair<double, std::size_t>> anchor_;
+  std::pair<double, std::size_t> last_{0.0, 0};
+  double first_s_ = 0.0;
+  /// Time between the latest two polls (caps the next interval's growth).
+  double gap_s_ = 0.0;
+};
+
 /// What one run_worker call accomplished.
 struct WorkerReport {
   std::size_t completed = 0;  ///< cells this worker published
@@ -494,6 +573,8 @@ struct WorkerReport {
 };
 
 /// How one run_worker call behaves (identity, budget, cadence, batching).
+/// The defaults are the fast path: one claim is one whole pending segment
+/// and its fluid cells integrate in the runner's preferred batches.
 struct WorkerConfig {
   /// Claim-file identity ([A-Za-z0-9_-]); required.
   std::string worker_id;
@@ -501,19 +582,22 @@ struct WorkerConfig {
   /// under concurrent claim loops and batching: oversized claims are
   /// trimmed back to the remaining budget.
   std::size_t max_cells = 0;
-  /// Sleep between empty claim attempts.
+  /// Ceiling of the idle completion poll (see CompletionWait) and the
+  /// cadence of lease recovery while idle.
   double poll_s = 0.05;
-  /// Cells per claimed unit (>= 1): pending singles are coalesced into
-  /// one leased batch, pre-chunked batches bigger than this are trimmed.
-  std::size_t batch = 1;
+  /// Cells per claimed unit. 0 (default) claims one whole pending entry,
+  /// capped at the seed-time segment size (one cell at a time on a
+  /// per-cell layout queue). K >= 1 caps claims at K: pending singles are
+  /// coalesced into one leased batch, bigger entries are trimmed.
+  std::size_t batch = 0;
   /// Cells per batched runner invocation inside a claimed unit, forwarded
-  /// to sweep::SweepOptions::batch_cells. With a value > 1 (or 0 = the
-  /// runner's preferred batch) the cells of a claimed unit are executed
-  /// through one run_tasks call, so batch-capable runners integrate
-  /// compatible cells in lockstep; 1 keeps the historical cell-at-a-time
-  /// execution. Either way results are published per cell and remain
-  /// bitwise identical — batching never changes a byte, only throughput.
-  std::size_t batch_cells = 1;
+  /// to sweep::SweepOptions::batch_cells: 0 (default) = the runner's
+  /// preferred batch, 1 = cell-at-a-time. The batch-eligible cells of a
+  /// claim run through one run_tasks call, so batch-capable runners
+  /// integrate compatible cells in lockstep; the others run and publish
+  /// one at a time. Results stay bitwise identical either way — batching
+  /// never changes a byte, only throughput.
+  std::size_t batch_cells = 0;
   /// Write workers/<id>.stats on every heartbeat tick (live dashboards).
   bool stats = false;
   /// Also snapshot the global obs::Registry to workers/<id>.metrics on
@@ -526,8 +610,9 @@ struct WorkerConfig {
 /// (runner resolution, caching, timeout, retry per `options` —
 /// options.threads claim loops run concurrently), publish per cell,
 /// repeat. A background heartbeat renews every in-flight lease at lease/4
-/// cadence. Returns when every cell of the plan has a result, however
-/// many workers produced them.
+/// cadence. Idle loops share one CompletionWait, woken early when a
+/// sibling loop finishes a claim. Returns when every cell of the plan has
+/// a result, however many workers produced them.
 WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
                         const sweep::SweepOptions& options,
                         const WorkerConfig& config);

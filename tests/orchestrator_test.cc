@@ -810,7 +810,7 @@ TEST(Collect, IncompleteQueueThrowsNamingTheMissingCell) {
 
 // ---- batched run_worker ----------------------------------------------------
 
-/// A 50-cell plan: enough cells that three --batch 4 workers interleave
+/// A 50-cell plan: enough cells that three batch-4 workers interleave
 /// chunk claims, trims, and the final ragged chunk.
 ExecutionPlan fifty_cell_plan() {
   sweep::ParameterGrid grid;
@@ -904,7 +904,7 @@ TEST(RunWorker, SigkilledWorkerMidBatchOnlyReEnqueuesUnfinishedCells) {
   WorkQueue queue(dir, /*lease_s=*/0.1, /*skew_margin_s=*/0.05);
   queue.seed(plan);
 
-  // A real SIGKILL mid-batch: the child drains slowly with --batch-style
+  // A real SIGKILL mid-batch: the child drains slowly with batch-4
   // claims and is killed after publishing at least one cell, so its batch
   // is part published, part abandoned.
   const pid_t child = ::fork();

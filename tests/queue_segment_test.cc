@@ -16,6 +16,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "common/require.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "orchestrator/execution_plan.h"
 #include "orchestrator/fleet.h"
 #include "orchestrator/work_queue.h"
@@ -266,6 +268,216 @@ TEST(SegmentQueue, SigkilledWorkerMidSegmentOnlyReEnqueuesUnpublished) {
   EXPECT_EQ(csv.str(), reference.csv)
       << "a SIGKILL mid-segment must not change a byte";
   EXPECT_EQ(json.str(), reference.json);
+}
+
+// ---- splits stay segments -------------------------------------------------
+
+/// The pending entries of a queue, by file name, each with its members.
+std::map<std::string, std::vector<std::size_t>> pending_entries(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::size_t>> entries;
+  for (const auto& entry : fs::directory_iterator(fs::path(dir) / "pending")) {
+    const std::string name = entry.path().filename().string();
+    std::vector<std::size_t> members;
+    if (entry.path().extension() == ".batch") {
+      std::ifstream in(entry.path());
+      std::string line;
+      std::getline(in, line);  // the "batch" header
+      while (std::getline(in, line)) members.push_back(std::stoul(line));
+    } else {
+      members.push_back(std::stoul(name.substr(0, name.find('.'))));
+    }
+    entries[name] = members;
+  }
+  return entries;
+}
+
+std::vector<std::size_t> range_of(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = from; i < to; ++i) out.push_back(i);
+  return out;
+}
+
+void publish_synthetic(const WorkQueue& queue, const ExecutionPlan& plan,
+                       std::size_t index, const std::string& worker) {
+  sweep::TaskResult result;
+  result.task = plan.cell(index);
+  result.metrics = synthetic_runner().run_one(result.task);
+  queue.publish(result, worker);
+}
+
+TEST(SegmentQueue, RecoveredSegmentReturnsAsOnePendingEntry) {
+  const auto plan = plan_of(32);  // 64 cells: one 63-cell segment + 1
+  const std::string dir = scratch_dir("sq_recover_split");
+  WorkQueue queue(dir, /*lease_s=*/60.0);
+  queue.seed(plan, 1, /*segment_cells=*/63);
+  auto claim = queue.try_claim_batch("victim", 63);
+  ASSERT_TRUE(claim.has_value());
+  ASSERT_EQ(claim->indices, range_of(0, 63));
+  for (std::size_t i = 0; i < 10; ++i) {
+    publish_synthetic(queue, plan, i, "victim");
+  }
+  const auto before = pending_entries(dir);
+  ASSERT_EQ(before.size(), 1u);  // the 1-cell tail segment
+
+  // The victim dies: backdate its claim far past the lease.
+  const auto active = fs::path(dir) / "active" / claim->active_name;
+  fs::last_write_time(active, fs::last_write_time(active) -
+                                  std::chrono::seconds(600));
+  EXPECT_EQ(queue.recover_expired(), 53u);
+
+  auto after = pending_entries(dir);
+  for (const auto& [name, members] : before) after.erase(name);
+  ASSERT_EQ(after.size(), 1u)
+      << "the unpublished members return as one segment, not 53 files";
+  EXPECT_EQ(after.begin()->second, range_of(10, 63));
+  EXPECT_EQ(queue.progress().pending, plan.size() - 10);
+  EXPECT_EQ(queue.progress().active, 0u);
+}
+
+TEST(SegmentQueue, TrimAndReleaseReturnTailsAsOnePendingEntryEach) {
+  const auto plan = plan_of(32);
+  const std::string dir = scratch_dir("sq_trim_split");
+  WorkQueue queue(dir, 60.0);
+  queue.seed(plan, 1, /*segment_cells=*/63);
+  auto claim = queue.try_claim_batch("worker-a", 63);
+  ASSERT_TRUE(claim.has_value());
+  const auto before = pending_entries(dir);
+
+  queue.trim(*claim, 10);
+  EXPECT_EQ(claim->indices, range_of(0, 10));
+  auto trimmed = pending_entries(dir);
+  for (const auto& [name, members] : before) trimmed.erase(name);
+  ASSERT_EQ(trimmed.size(), 1u);
+  EXPECT_EQ(trimmed.begin()->second, range_of(10, 63));
+
+  for (std::size_t i = 0; i < 3; ++i) {
+    publish_synthetic(queue, plan, i, "worker-a");
+  }
+  queue.release(*claim);
+  auto released = pending_entries(dir);
+  for (const auto& [name, members] : before) released.erase(name);
+  released.erase(trimmed.begin()->first);
+  ASSERT_EQ(released.size(), 1u);
+  EXPECT_EQ(released.begin()->second, range_of(3, 10));
+  const auto progress = queue.progress();
+  EXPECT_EQ(progress.done, 3u);
+  EXPECT_EQ(progress.active, 0u);
+  EXPECT_EQ(progress.pending, plan.size() - 3);
+}
+
+// ---- the default-flag fast path -------------------------------------------
+
+TEST(DefaultFastPath, SegmentSizeIsBoundedMonotoneAndSmallForTheGrid) {
+  std::size_t previous = 0;
+  for (std::size_t cells = 0; cells <= 200000; cells += 7) {
+    const std::size_t k = segment_cells_for(cells);
+    ASSERT_GE(k, 1u) << cells;
+    ASSERT_LE(k, 512u) << cells;
+    ASSERT_GE(k, previous) << "K must never shrink as the plan grows";
+    previous = k;
+  }
+  EXPECT_LE(segment_cells_for(196), 5u)
+      << "the paper grid must stay in small claims (worker RSS)";
+  EXPECT_EQ(segment_cells_for(4000), 63u);
+  EXPECT_EQ(segment_cells_for(50000), 512u);
+  EXPECT_EQ(segment_cells_for(10000000), 512u);
+}
+
+TEST(DefaultFastPath, CompletionPollTightensAsThePlanNearsItsEnd) {
+  // Nothing seen yet: back off from the floor, capped at the ceiling.
+  EXPECT_DOUBLE_EQ(completion_poll_s(100, 0, 0.0, 0.5), 0.01);
+  EXPECT_DOUBLE_EQ(completion_poll_s(100, 0, 0.4, 0.5), 0.1);
+  EXPECT_DOUBLE_EQ(completion_poll_s(100, 0, 10.0, 0.5), 0.5);
+  // 100 cells/s: 90 left is 0.9 s away, 2 left only 20 ms.
+  EXPECT_DOUBLE_EQ(completion_poll_s(90, 10, 0.1, 0.5), 0.225);
+  EXPECT_DOUBLE_EQ(completion_poll_s(2, 98, 0.98, 0.5), 0.01);
+  // A ceiling under the floor wins.
+  EXPECT_DOUBLE_EQ(completion_poll_s(100, 0, 0.0, 0.002), 0.002);
+}
+
+TEST(DefaultFastPath, DefaultConfigClaimsWholeSegmentsAndBatchesFluid) {
+  // Real fluid cells through the default backend runner, which batches
+  // them in lockstep: the plan is seeded the way `bbrsweep coordinator`
+  // seeds it and drained with a default WorkerConfig.
+  sweep::ParameterGrid grid;
+  grid.backends = {sweep::Backend::kFluid};
+  grid.disciplines = {net::Discipline::kDropTail};
+  grid.buffers_bdp.clear();
+  for (std::size_t i = 1; i <= 40; ++i) {
+    grid.buffers_bdp.push_back(0.2 * static_cast<double>(i));
+  }
+  grid.flow_counts = {2};
+  grid.rtt_ranges = {{0.030, 0.040}};
+  grid.mixes = {sweep::homogeneous_mix(scenario::CcaKind::kBbrv1),
+                sweep::homogeneous_mix(scenario::CcaKind::kBbrv2)};
+  scenario::ExperimentSpec base = small_base();
+  base.duration_s = 0.1;
+  const auto plan = ExecutionPlan::dense(grid, base, 42);
+  ASSERT_EQ(plan.size(), 80u);
+  const auto reference = reference_bytes(plan, sweep::SweepOptions{});
+
+  WorkQueue queue(scratch_dir("sq_default_fast"), 60.0);
+  const std::size_t k = segment_cells_for(plan.size());
+  queue.seed(plan, 1, k);
+  const std::size_t segments = (plan.size() + k - 1) / k;
+  EXPECT_EQ(pending_entries(queue.dir()).size(), segments);
+
+  auto& registry = obs::Registry::global();
+  const auto claims_before = registry.counter("queue.claims").value();
+  const auto batched_before = registry.counter("sweep.batched_cells").value();
+  WorkerConfig config;
+  config.worker_id = "worker-default";
+  sweep::SweepOptions options;
+  options.threads = 2;
+  const auto report = run_worker(queue, plan, options, config);
+  EXPECT_EQ(report.completed, plan.size());
+  EXPECT_EQ(registry.counter("queue.claims").value() - claims_before,
+            segments)
+      << "one claim per segment: nothing was trimmed back to pending";
+  EXPECT_GT(registry.counter("sweep.batched_cells").value() - batched_before,
+            0u)
+      << "fluid cells of a claim must run through the batch engine";
+
+  std::ostringstream csv, json;
+  collect_csv(queue, plan, csv);
+  collect_json(queue, plan, json);
+  EXPECT_EQ(csv.str(), reference.csv);
+  EXPECT_EQ(json.str(), reference.json);
+}
+
+TEST(DefaultFastPath, IdleWorkersDoNotSleepOutALongPoll) {
+  const auto plan = plan_of(3);
+  sweep::SweepOptions options;
+  // Slow enough that some claim loops run dry while peers still hold the
+  // last cells — the idle wait is what this test times.
+  options.runner =
+      sweep::make_runner("synthetic", [](const sweep::SweepTask& task) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return synthetic_runner().run_one(task);
+      });
+  options.threads = 2;
+  WorkQueue queue(scratch_dir("sq_prompt_exit"), 60.0);
+  queue.seed(plan, 1, segment_cells_for(plan.size()));
+
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<std::size_t> total{0};
+  std::vector<std::thread> workers;
+  for (const char* id : {"worker-a", "worker-b"}) {
+    workers.emplace_back([&, id] {
+      WorkerConfig config;
+      config.worker_id = id;
+      config.poll_s = 30.0;
+      total.fetch_add(run_worker(queue, plan, options, config).completed);
+    });
+  }
+  for (auto& w : workers) w.join();
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_EQ(total.load(), plan.size());
+  EXPECT_LT(elapsed_s, 5.0)
+      << "the tail must not sleep out a full 30 s poll";
 }
 
 // ---- layout stamp + legacy compatibility ----------------------------------

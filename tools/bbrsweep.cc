@@ -136,10 +136,10 @@ Execution:
   --batch-cells K     cells per batched runner invocation when the runner
                       supports batching (fluid does: compatible cells
                       integrate in lockstep through one SoA engine pass);
-                      0 = the runner's preferred batch, 1 = scalar
-                      (default), K = group up to K compatible cells.
-                      Output bytes never change — batching is purely a
-                      throughput knob (see README "Performance")
+                      0 = the runner's preferred batch (default, also for
+                      workers), 1 = scalar, K = group up to K compatible
+                      cells. Output bytes never change — batching is
+                      purely a throughput knob (see README "Performance")
   --seed S            base seed; per-task seeds derive from it (default 42)
   --shard K/N         run only tasks with index ≡ K (mod N); the union of
                       all N shards' outputs merges byte-identically into
@@ -213,32 +213,33 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       for S seconds is re-enqueued (default 60)
   --skew-margin S     extra slack before an expired lease is recovered,
                       absorbing cross-host mtime skew (default lease/4)
-  --poll S            progress/claim poll interval (default 0.5)
-  --batch K           coordinator: seed K-cell batch files, each claimed
-                      by one rename; worker: claim and lease up to K
-                      cells as one unit (coalescing pending singles),
-                      publishing results per cell — a crash mid-batch
-                      only re-enqueues the unfinished members
-  --segment-cells K   coordinator only: seed the *segment* queue layout —
-                      pending work in K-cell segments (one rename claims
-                      a whole segment), finished cells appended to
-                      per-worker binary result logs, O(1) status from a
-                      counters file. The filesystem holds O(cells/K)
-                      entries however big the plan; collect output stays
-                      byte-identical to the per-cell layout and to the
-                      single-process run. Queues seeded without this flag
-                      keep the per-cell layout; layouts never mix in one
-                      directory
-  worker only:
+  --poll S            ceiling of the completion poll (default 0.5): idle
+                      workers, the fleet and the coordinator poll ever
+                      faster (down to ~10 ms) as the plan nears its end;
+                      lease recovery, the autoscaler and the watch line
+                      keep this cadence. A worker exit wakes the fleet at
+                      once
+  --segment-cells K   coordinator only: cells per pending segment
+                      (default ceil(cells/64) clamped to [1, 512]). The
+                      coordinator seeds the *segment* queue layout: one
+                      rename claims a whole segment, finished cells append
+                      to per-worker binary result logs, and status is O(1)
+                      from a counters file. The filesystem holds
+                      O(cells/K) entries however big the plan; collect
+                      output stays byte-identical to the single-process
+                      run
+  worker only (one claim = one whole pending segment; its fluid cells
+  run in the runner's preferred lockstep batches, the rest one by one,
+  each result published as it lands — a crash mid-segment only
+  re-enqueues the unpublished members, as one segment):
   --worker-id ID      claim-file name ([A-Za-z0-9_-]; default host-pid)
   --max-cells N       publish at most N cells, then exit (0 = no limit;
-                      exact even with --batch — oversized claims are
-                      trimmed back to pending)
+                      exact — an oversized claim's tail goes back to
+                      pending as one segment)
   --plan-wait S       wait up to S seconds for the coordinator to seed
                       the plan (default 60)
   (--threads, --batch-cells, --cache-dir, --timeout, --retries apply per
-   worker; --batch-cells runs each claimed unit's cells through one
-   batched engine pass — results stay byte-identical)
+   worker; results stay byte-identical whatever their values)
   fleet only:
   --workers N         worker slots to keep filled (default 1)
   --ssh HOST,...      run workers over ssh on these hosts (round-robin);
@@ -254,10 +255,11 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       Scaled-down workers are SIGTERMed; lease recovery
                       re-enqueues anything they held, so results are
                       unchanged
-  (--batch, --batch-cells, --threads, --cache-dir, --timeout, --retries,
-   --lease, --skew-margin, --max-cells, --plan-wait, --trace, --log-level
+  (--batch-cells, --threads, --cache-dir, --timeout, --retries, --lease,
+   --skew-margin, --max-cells, --plan-wait, --poll, --trace, --log-level
    forward to every worker; each traced worker writes its own
-   workers/<id>.trace shard for `bbrsweep trace` to merge)
+   workers/<id>.trace shard for `bbrsweep trace` to merge, and a traced
+   fleet or coordinator adds one for its own idle waits)
 
 merge: reassemble shard outputs (all CSV or all JSON, matching the OUT
 flag) into the byte-identical unsharded file, verifying the union covers
@@ -497,17 +499,14 @@ struct Options {
   /// Negative = the queue's default (lease/4).
   double skew_margin_s = -1.0;
   double poll_s = 0.5;
-  /// Cells per pending batch entry the coordinator seeds (1 = singles).
-  std::size_t batch = 1;
-  /// > 0 selects the segment queue layout with this many cells per
-  /// segment (coordinator only).
+  /// Cells per pending segment (coordinator only); 0 = derived from the
+  /// plan size by segment_cells_for().
   std::size_t segment_cells = 0;
   /// Fail-fast bookkeeping: queue-only flags given to a non-queue mode
   /// must error, not silently fall back.
   bool lease_given = false;
   bool poll_given = false;
   bool skew_given = false;
-  bool batch_given = false;
   bool segment_given = false;
 };
 
@@ -619,10 +618,6 @@ Options parse_args(int argc, char** argv, int first) {
     } else if (arg == "--skew-margin") {
       opt.skew_margin_s = parse_nonnegative_finite(next(i), "skew margin");
       opt.skew_given = true;
-    } else if (arg == "--batch") {
-      opt.batch = static_cast<std::size_t>(parse_count(next(i), "batch"));
-      if (opt.batch == 0) fail("batch must be at least 1");
-      opt.batch_given = true;
     } else if (arg == "--segment-cells") {
       opt.segment_cells =
           static_cast<std::size_t>(parse_count(next(i), "segment cells"));
@@ -851,6 +846,20 @@ void sleep_s(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+/// Trace this process into the queue's DIR/workers/<id>.trace shard, the
+/// set `bbrsweep trace` merges into one fleet timeline.
+void enable_queue_trace(const std::string& queue_dir, const std::string& id) {
+  const auto shard =
+      std::filesystem::path(queue_dir) / "workers" / (id + ".trace");
+  obs::Tracer::global().enable(obs::trace_env_path(shard.string()), id);
+}
+
+void flush_trace() {
+  if (obs::Tracer::global().enabled() && !obs::Tracer::global().flush()) {
+    obs::log(obs::LogLevel::kWarn, "failed to write trace shard");
+  }
+}
+
 /// Stream the completed queue's merged output to `path` ('-' = stdout),
 /// returning the failed-cell count.
 std::size_t collect_to(const orchestrator::WorkQueue& queue,
@@ -879,8 +888,8 @@ int run_coordinator(int argc, char** argv) {
          "bbrsweep runs only");
   }
   if (opt.trace) {
-    fail("the coordinator executes no cells; pass --trace to the workers "
-         "or fleet and merge with `bbrsweep trace`");
+    enable_queue_trace(*opt.queue_dir,
+                       "coordinator-" + orchestrator::default_worker_id());
   }
   std::unique_ptr<sweep::CellCache> cache;
   if (opt.cache_dir) {
@@ -891,67 +900,76 @@ int run_coordinator(int argc, char** argv) {
   const auto plan = build_plan(opt);
   orchestrator::WorkQueue queue(*opt.queue_dir, opt.lease_s,
                                 opt.skew_margin_s);
-  queue.seed(plan, opt.batch, opt.segment_cells);
+  const std::size_t segment_cells =
+      opt.segment_cells > 0 ? opt.segment_cells
+                            : orchestrator::segment_cells_for(plan.size());
+  {
+    obs::Span span("seed", "queue");
+    span.arg("cells", static_cast<std::uint64_t>(plan.size()));
+    queue.seed(plan, /*batch=*/1, segment_cells);
+  }
   if (!opt.quiet) {
     obs::log(obs::LogLevel::kInfo,
              "seeded %zu cell(s) into %s (runner %s, lease %g s, skew "
-             "margin %g s%s)",
+             "margin %g s, %zu cells/segment)",
              plan.size(), queue.dir().c_str(), plan.runner_name().c_str(),
-             opt.lease_s, queue.skew_margin_s(),
-             opt.segment_cells > 0
-                 ? ", segment layout"
-                 : (opt.batch > 1 ? ", batched" : ""));
+             opt.lease_s, queue.skew_margin_s(), segment_cells);
   }
 
-  while (true) {
-    // The watch line reads the O(1) counters view (on the segment layout:
-    // counters file + publish checkpoints, no readdir of pending/ or
-    // results/; on the per-cell layout it falls back to the census).
-    // The cheap done can overcount on benign double publishes, so
-    // completion is confirmed against the exact distinct-cell count
-    // before collecting — that cross-check is the coordinator's deep
-    // verification of the counters.
-    std::size_t done;
-    if (opt.quiet) {
-      done = queue.done_count();
-    } else {
-      const auto c = queue.counters();
-      done = c.done;
-      // The per-worker stats files double as a fleet dashboard: fold
-      // them into the watch line so one terminal shows the whole run.
-      std::size_t workers = 0;
-      double rate = 0.0;
-      for (const auto& w : queue.read_worker_stats()) {
-        if (w.heartbeat_age_s > 2.0 * queue.lease_s()) continue;  // gone
-        ++workers;
-        // Trailing-window rate: a long-lived worker's lifetime average
-        // lags its current throughput, which made this line (and the
-        // autoscaler) mis-state a draining fleet.
-        rate += w.window_cells_per_s;
-      }
-      // bbrlint:allow(no-raw-fprintf: interactive watch line — the \r
-      // rewrite idiom needs an unterminated partial line, which the
-      // one-line-per-call obs::log contract deliberately cannot express)
-      std::fprintf(stderr,
-                   "\rbbrsweep: %zu/%zu cell(s) done (%zu pending, %zu "
-                   "active; %zu worker(s), %.1f cells/s)   ",
-                   c.done, plan.size(), c.pending, c.active, workers, rate);
+  // The watch line reads the O(1) counters view (counters file + publish
+  // checkpoints, no readdir of pending/ or results/) plus the per-worker
+  // stats files, folded into one fleet dashboard line.
+  const auto watch_line = [&] {
+    const auto c = queue.counters();
+    std::size_t workers = 0;
+    double rate = 0.0;
+    for (const auto& w : queue.read_worker_stats()) {
+      if (w.heartbeat_age_s > 2.0 * queue.lease_s()) continue;  // gone
+      ++workers;
+      // Trailing-window rate: a long-lived worker's lifetime average
+      // lags its current throughput, which made this line (and the
+      // autoscaler) mis-state a draining fleet.
+      rate += w.window_cells_per_s;
     }
-    if (done >= plan.size() && queue.done_count() >= plan.size()) {
-      if (!opt.quiet) std::fputc('\n', stderr);
-      break;
+    // bbrlint:allow(no-raw-fprintf: interactive watch line — the \r
+    // rewrite idiom needs an unterminated partial line, which the
+    // one-line-per-call obs::log contract deliberately cannot express)
+    std::fprintf(stderr,
+                 "\rbbrsweep: %zu/%zu cell(s) done (%zu pending, %zu "
+                 "active; %zu worker(s), %.1f cells/s)   ",
+                 c.done, plan.size(), c.pending, c.active, workers, rate);
+  };
+  // Completion is the exact distinct-cell count, polled ever faster as
+  // the plan nears its end; the watch line and lease recovery keep the
+  // --poll cadence.
+  orchestrator::CompletionWait completion(queue, plan.size(), opt.poll_s);
+  const std::chrono::duration<double> poll(opt.poll_s);
+  std::chrono::steady_clock::time_point last_watch;  // epoch: due at once
+  while (!completion.poll()) {
+    if (std::chrono::steady_clock::now() - last_watch >= poll) {
+      last_watch = std::chrono::steady_clock::now();
+      if (!opt.quiet) watch_line();
+      queue.recover_expired();
     }
-    queue.recover_expired();
-    sleep_s(opt.poll_s);
+    obs::Span span("idle", "queue");
+    sleep_s(completion.interval_s());
+  }
+  if (!opt.quiet) {
+    watch_line();
+    std::fputc('\n', stderr);
   }
 
   std::size_t failed = 0;
-  if (opt.csv_path) {
-    failed = collect_to(queue, plan, *opt.csv_path, /*json=*/false);
+  {
+    obs::Span span("collect", "queue");
+    if (opt.csv_path) {
+      failed = collect_to(queue, plan, *opt.csv_path, /*json=*/false);
+    }
+    if (opt.json_path) {
+      failed = collect_to(queue, plan, *opt.json_path, /*json=*/true);
+    }
   }
-  if (opt.json_path) {
-    failed = collect_to(queue, plan, *opt.json_path, /*json=*/true);
-  }
+  flush_trace();
   if (failed > 0) {
     obs::log(obs::LogLevel::kWarn, "%zu cell(s) failed (see status column)",
              failed);
@@ -968,7 +986,7 @@ int run_worker_cmd(int argc, char** argv) {
   double lease_s = 60.0, skew_margin_s = -1.0, poll_s = 0.5,
          plan_wait_s = 60.0;
   bool lease_given = false, skew_given = false;
-  std::size_t max_cells = 0, batch = 1, batch_cells = 1;
+  std::size_t max_cells = 0, batch_cells = 0;
   bool quiet = false;
   bool trace = obs::trace_env_on();
 
@@ -998,9 +1016,6 @@ int run_worker_cmd(int argc, char** argv) {
     } else if (arg == "--skew-margin") {
       skew_margin_s = parse_nonnegative_finite(next(i), "skew margin");
       skew_given = true;
-    } else if (arg == "--batch") {
-      batch = static_cast<std::size_t>(parse_count(next(i), "batch"));
-      if (batch == 0) fail("batch must be at least 1");
     } else if (arg == "--batch-cells") {
       batch_cells =
           static_cast<std::size_t>(parse_count(next(i), "batch cells"));
@@ -1065,30 +1080,22 @@ int run_worker_cmd(int argc, char** argv) {
   obs::set_log_tag(id);
   if (!quiet) {
     obs::log(obs::LogLevel::kInfo,
-             "worker %s draining %zu-cell plan from %s (runner %s%s)",
+             "worker %s draining %zu-cell plan from %s (runner %s)",
              id.c_str(), plan.size(), queue.dir().c_str(),
-             plan.runner_name().c_str(),
-             batch > 1 ? ", batched claims" : "");
+             plan.runner_name().c_str());
   }
-  if (trace) {
-    // Each worker writes its own shard next to its stats file; `bbrsweep
-    // trace` merges the shards into one fleet timeline afterwards.
-    const auto shard =
-        std::filesystem::path(queue.dir()) / "workers" / (id + ".trace");
-    obs::Tracer::global().enable(obs::trace_env_path(shard.string()), id);
-  }
+  // Each worker writes its own shard next to its stats file; `bbrsweep
+  // trace` merges the shards into one fleet timeline afterwards.
+  if (trace) enable_queue_trace(queue.dir(), id);
   orchestrator::WorkerConfig config;
   config.worker_id = id;
   config.max_cells = max_cells;
   config.poll_s = poll_s;
-  config.batch = batch;
   config.batch_cells = batch_cells;
   config.stats = true;  // cheap, and `bbrsweep status` feeds on it
   config.metrics = true;  // snapshot the registry beside the stats file
   const auto report = orchestrator::run_worker(queue, plan, run, config);
-  if (trace && !obs::Tracer::global().flush()) {
-    obs::log(obs::LogLevel::kWarn, "failed to write trace shard");
-  }
+  flush_trace();
   if (!quiet) {
     obs::log(obs::LogLevel::kInfo,
              "worker %s published %zu cell(s) (%zu failed)", id.c_str(),
@@ -1113,6 +1120,7 @@ int run_fleet_cmd(int argc, char** argv) {
     fleet.worker_args.push_back(next(i));
   };
   bool quiet_workers = false;
+  bool trace = obs::trace_env_on();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-h" || arg == "--help") {
@@ -1161,13 +1169,13 @@ int run_fleet_cmd(int argc, char** argv) {
       fleet.plan_wait_s = parse_nonnegative_finite(value, "plan wait");
       fleet.worker_args.push_back(arg);
       fleet.worker_args.push_back(value);
-    } else if (arg == "--batch" || arg == "--batch-cells" ||
-               arg == "--threads" || arg == "--cache-dir" ||
+    } else if (arg == "--batch-cells" || arg == "--threads" || arg == "--cache-dir" ||
                arg == "--timeout" || arg == "--retries" ||
                arg == "--lease" || arg == "--skew-margin" ||
                arg == "--max-cells") {
       forward(arg, i);
     } else if (arg == "--trace") {
+      trace = true;
       fleet.worker_args.push_back(arg);
     } else if (arg == "--log-level") {
       const std::string value = next(i);
@@ -1193,7 +1201,13 @@ int run_fleet_cmd(int argc, char** argv) {
   const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
   fleet.self_path = ec ? argv[0] : self.string();
 
+  // The monitor's own idle waits land in a shard beside the workers'.
+  if (trace) {
+    enable_queue_trace(fleet.queue_dir,
+                       "fleet-" + orchestrator::default_worker_id());
+  }
   const auto report = orchestrator::run_fleet(fleet);
+  flush_trace();
   if (!fleet.quiet) {
     obs::log(obs::LogLevel::kInfo,
              "fleet done — %zu spawn(s), %zu respawn(s), %zu abandoned "
@@ -1463,14 +1477,14 @@ int run_trace(int argc, char** argv) {
 int run_plan(int argc, char** argv) {
   Options opt = parse_args(argc, argv, /*first=*/2);
   if (opt.queue_dir || opt.lease_given || opt.poll_given || opt.skew_given ||
-      opt.batch_given || opt.segment_given) {
+      opt.segment_given) {
     fail("plan never touches a queue; drop "
-         "--queue-dir/--lease/--skew-margin/--batch/--segment-cells/--poll "
+         "--queue-dir/--lease/--skew-margin/--segment-cells/--poll "
          "or use `bbrsweep coordinator`");
   }
   if (opt.trace) {
-    fail("plan runs no fine simulations; --trace applies to sweep, worker, "
-         "and fleet runs");
+    fail("plan runs no fine simulations; --trace applies to sweep, "
+         "coordinator, worker, and fleet runs");
   }
   std::unique_ptr<sweep::CellCache> cache;
   if (opt.cache_dir) {
@@ -1527,8 +1541,8 @@ int main(int argc, char** argv) try {
          "(and `bbrsweep worker`) instead");
   }
   if (opt.lease_given || opt.poll_given || opt.skew_given ||
-      opt.batch_given || opt.segment_given) {
-    fail("--lease/--skew-margin/--batch/--segment-cells/--poll only apply "
+      opt.segment_given) {
+    fail("--lease/--skew-margin/--segment-cells/--poll only apply "
          "to the coordinator, worker, and fleet subcommands");
   }
   if (opt.trace || obs::trace_env_on()) {
