@@ -89,38 +89,21 @@ AggregateMetrics evaluate_fluid_cell(const FluidCellView& view,
 AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
                                 std::size_t bottleneck_link,
                                 double virtual_packet_pkts) {
-  // Flatten the simulation into a FluidCellView (bitwise copies only) so
-  // the scalar and batch engines share one metrics implementation.
-  std::vector<double> sent(sim.num_agents());
-  for (std::size_t i = 0; i < sim.num_agents(); ++i) {
-    sent[i] = sim.sent_pkts(i);
-  }
-  std::vector<core::LinkAccounting> acct(sim.topology().num_links());
-  for (std::size_t l = 0; l < sim.topology().num_links(); ++l) {
-    acct[l] = sim.link_accounting(l);
-  }
-  const auto& trace = sim.trace();
-  std::vector<double> rtt(trace.samples.size() * sim.num_agents());
-  for (std::size_t s = 0; s < trace.samples.size(); ++s) {
-    for (std::size_t i = 0; i < sim.num_agents(); ++i) {
-      rtt[s * sim.num_agents() + i] = trace.samples[s].agents[i].rtt_s;
-    }
-  }
-
+  const net::Link& bottleneck = sim.topology().link(bottleneck_link);
   FluidCellView view;
   view.duration_s = sim.now();
   view.num_agents = sim.num_agents();
   view.num_links = sim.topology().num_links();
-  view.sent_pkts = sent.data();
-  view.link_acct = acct.data();
+  view.sent_pkts = sim.sent_volumes().data();
+  view.link_acct = sim.link_accounts().data();
   view.bottleneck_link = bottleneck_link;
-  view.bottleneck_capacity_pps =
-      sim.topology().link(bottleneck_link).capacity_pps;
-  view.bottleneck_buffer_pkts =
-      sim.topology().link(bottleneck_link).buffer_pkts;
-  view.sample_interval_s = trace.sample_interval_s;
-  view.num_samples = trace.samples.size();
-  view.rtt_samples = rtt.data();
+  view.bottleneck_capacity_pps = bottleneck.capacity_pps;
+  view.bottleneck_buffer_pkts = bottleneck.buffer_pkts;
+  view.sample_interval_s = sim.trace().sample_interval_s;
+  view.num_samples = sim.num_agents() == 0
+                         ? 0
+                         : sim.rtt_samples().size() / sim.num_agents();
+  view.rtt_samples = sim.rtt_samples().data();
   return evaluate_fluid_cell(view, virtual_packet_pkts);
 }
 

@@ -42,9 +42,10 @@ AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
 
 /// A flattened read-only view of one finished fluid cell: everything the
 /// aggregate metrics consume, detached from which engine produced it.
-/// evaluate_fluid builds one from a FluidSimulation and the batch engine
-/// builds one per cell, so both engines flow through the identical
-/// arithmetic in evaluate_fluid_cell and yield byte-identical metrics.
+/// evaluate_fluid points one straight at a FluidSimulation's flat state;
+/// the reference stepper's adapter (core/reference_engine.h) copies its
+/// trace into one, so both flow through the identical arithmetic in
+/// evaluate_fluid_cell.
 struct FluidCellView {
   double duration_s = 0.0;
   std::size_t num_agents = 0;

@@ -1856,7 +1856,7 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
   // Which cells of a claim go through one grouped run_tasks call — the
   // ones run_tasks would batch (see sweep::SweepOptions::batch_cells);
   // every other cell runs and publishes on its own, so a crash mid-claim
-  // loses at most the cell (or lockstep batch) in progress.
+  // loses at most the cell (or batch) in progress.
   const sweep::Runner& runner = cell_options.runner;
   const std::size_t requested = cell_options.batch_cells == 0
                                     ? runner.preferred_batch

@@ -593,10 +593,9 @@ struct WorkerConfig {
   /// Cells per batched runner invocation inside a claimed unit, forwarded
   /// to sweep::SweepOptions::batch_cells: 0 (default) = the runner's
   /// preferred batch, 1 = cell-at-a-time. The batch-eligible cells of a
-  /// claim run through one run_tasks call, so batch-capable runners
-  /// integrate compatible cells in lockstep; the others run and publish
-  /// one at a time. Results stay bitwise identical either way — batching
-  /// never changes a byte, only throughput.
+  /// claim run through one run_tasks call; the others run and publish one
+  /// at a time. Results stay bitwise identical either way — batching never
+  /// changes a byte.
   std::size_t batch_cells = 0;
   /// Write workers/<id>.stats on every heartbeat tick (live dashboards).
   bool stats = false;

@@ -73,7 +73,13 @@ struct FluidSetup {
   std::size_t bottleneck_link = 0;
   double bottleneck_bdp_pkts = 0.0;
 };
-FluidSetup build_fluid(const ExperimentSpec& spec);
+/// `record_trace` keeps the simulation's full FluidTrace (figures,
+/// examples, tests); the aggregate metrics do not need it.
+FluidSetup build_fluid(const ExperimentSpec& spec, bool record_trace = true);
+
+/// One fluid CCA per flow of spec.mix, with spec.bbr_init applied.
+std::vector<std::unique_ptr<core::FluidCca>> make_fluid_agents(
+    const ExperimentSpec& spec);
 
 /// Packet ("Experiment") side of the experiment, ready to run.
 struct PacketSetup {
@@ -85,13 +91,13 @@ PacketSetup build_packet(const ExperimentSpec& spec);
 /// Run the fluid side and return the paper's five aggregate metrics.
 metrics::AggregateMetrics run_fluid(const ExperimentSpec& spec);
 
-/// Run a batch of fluid experiments through the lockstep SoA engine
-/// (core/batch_engine.h) and return one metrics entry per spec, in order.
-/// Every spec must share duration_s and fluid.step_s (the batch integrates
-/// one time grid). Results are bitwise identical to run_fluid on each spec
-/// — that contract is what lets the sweep layer batch transparently.
+/// run_fluid on each spec, in order (the sweep layer's batch entry point).
 std::vector<metrics::AggregateMetrics> run_fluid_batch(
     const std::vector<const ExperimentSpec*>& specs);
+
+/// run_fluid through core::ReferenceFluidSimulation, the oracle stepper:
+/// bitwise the same metrics, slower. For tests and benches only.
+metrics::AggregateMetrics run_fluid_reference(const ExperimentSpec& spec);
 
 /// Run the packet side and return the same metrics.
 metrics::AggregateMetrics run_packet(const ExperimentSpec& spec);

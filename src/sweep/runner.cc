@@ -88,9 +88,9 @@ metrics::AggregateMetrics run_backend_cell(const SweepTask& task) {
   return metrics::AggregateMetrics{};
 }
 
-// How many fluid cells to integrate in lockstep by default. Eight keeps the
-// per-cell working set (rate/RTT/queue rings) inside L2 on typical grids
-// while amortizing the time-loop overhead; measured ≥4× over scalar.
+// How many fluid cells one batched call runs by default. The cells run one
+// after another (scenario::run_fluid_batch), so this only sets how coarsely
+// fluid work is scheduled and claimed; it buys no per-cell speed.
 constexpr std::size_t kFluidBatch = 8;
 
 }  // namespace

@@ -9,14 +9,13 @@
 // the content-addressed cell cache, shard-invariant CSV/JSON — works for
 // any of them.
 //
-// PR 6 makes runners batch-aware. A runner still always provides a scalar
-// `run_one`; it may additionally provide `run_batch`, which integrates K
-// compatible cells in lockstep (see core/batch_engine.h) and must return
-// results bitwise identical to calling `run_one` per cell. The scheduler
-// treats batching purely as an optimization: per-cell cache lookups,
-// retries, timeouts and statuses are decided cell by cell, and a failing
-// batch degrades to scalar runs. Runners built with make_runner (benches,
-// tests) are scalar-only and behave exactly as before.
+// Runners are batch-aware. A runner always provides a scalar `run_one`; it
+// may additionally provide `run_batch`, which runs K cells in one call and
+// must return results bitwise identical to calling `run_one` per cell. The
+// scheduler treats batching purely as a grouping of work: per-cell cache
+// lookups, retries, timeouts and statuses are decided cell by cell, and a
+// failing batch degrades to scalar runs. Runners built with make_runner
+// (benches, tests) are scalar-only.
 //
 // A runner's `name` doubles as its cache namespace: cells are addressed by
 // (runner name, backend, canonical spec bytes), so only named runners
@@ -83,8 +82,8 @@ inline Runner make_runner(std::string name, RunnerFn fn) {
 }
 
 /// Fluid-model ("Model") runner: scenario::run_fluid on the task's spec,
-/// regardless of task.backend. Batch-capable: compatible cells integrate in
-/// lockstep through the SoA engine with bitwise-identical results.
+/// regardless of task.backend. Batch-capable through
+/// scenario::run_fluid_batch, which runs the cells one after another.
 Runner fluid_runner();
 
 /// Packet-simulator ("Experiment") runner: scenario::run_packet.

@@ -70,10 +70,10 @@ struct SweepOptions {
   std::size_t max_attempts = 1;
   /// Cells per batched runner invocation when the runner supports batching
   /// (Runner::run_batch): 0 = the runner's preferred_batch, 1 = disable
-  /// batching, K = group up to K compatible cells per call. Batching is an
-  /// optimization only — results are bitwise identical to scalar runs, a
-  /// failing batch degrades to per-cell scalar retries, cache lookups stay
-  /// per cell, and a per-attempt timeout (timeout_s > 0) forces the scalar
+  /// batching, K = group up to K eligible cells per call. Batching only
+  /// groups scheduling — results are bitwise identical to per-cell runs, a
+  /// failing batch degrades to per-cell retries, cache lookups stay per
+  /// cell, and a per-attempt timeout (timeout_s > 0) forces the per-cell
   /// path so each cell keeps its own wall-clock fence.
   std::size_t batch_cells = 0;
   /// Memoize (runner, backend, spec) cells here; nullptr disables. Only

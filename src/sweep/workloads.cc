@@ -63,11 +63,9 @@ metrics::AggregateMetrics run_parking_lot(const SweepTask& task) {
     spec.access_delay_s = access[0];
     spec.cross_access_delays_s.assign(access.begin() + 1, access.end());
     const auto lot = net::make_parking_lot(spec);
-    std::vector<std::unique_ptr<core::FluidCca>> agents;
-    for (std::size_t a = 0; a < lot.topology.num_agents(); ++a) {
-      agents.push_back(scenario::make_fluid_cca(flows[a]));
-    }
-    core::FluidSimulation sim(lot.topology, std::move(agents), {});
+    core::FluidSimulation sim(lot.topology,
+                              scenario::make_fluid_agents(task.spec),
+                              task.spec.fluid, /*record_trace=*/false);
     sim.run(t_end);
     for (std::size_t a = 0; a < lot.topology.num_agents(); ++a) {
       m.mean_rate_pps.push_back(sim.sent_pkts(a) / t_end);

@@ -398,7 +398,7 @@ TEST(DefaultFastPath, CompletionPollTightensAsThePlanNearsItsEnd) {
 
 TEST(DefaultFastPath, DefaultConfigClaimsWholeSegmentsAndBatchesFluid) {
   // Real fluid cells through the default backend runner, which batches
-  // them in lockstep: the plan is seeded the way `bbrsweep coordinator`
+  // them: the plan is seeded the way `bbrsweep coordinator`
   // seeds it and drained with a default WorkerConfig.
   sweep::ParameterGrid grid;
   grid.backends = {sweep::Backend::kFluid};

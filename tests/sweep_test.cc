@@ -20,12 +20,14 @@
 #include "common/require.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "core/engine.h"
 #include "sweep/cell_cache.h"
 #include "sweep/merge.h"
 #include "sweep/parameter_grid.h"
 #include "sweep/runner.h"
 #include "sweep/sweep.h"
 #include "sweep/thread_pool.h"
+#include "sweep/workloads.h"
 
 namespace bbrmodel::sweep {
 namespace {
@@ -459,6 +461,41 @@ TEST(Runner, BuiltInsAreNamedAndDispatch) {
   }
 }
 
+TEST(Runner, ParkingLotFluidCellIntegratesWithTheSpecsConfig) {
+  // The spec's FluidConfig is part of the plan and the cache key, so the
+  // run must integrate with it — not with a default-constructed config.
+  SweepTask task;
+  task.backend = Backend::kFluid;
+  task.spec.mix = scenario::homogeneous(scenario::CcaKind::kBbrv1, 3);
+  task.spec.capacity_pps = mbps_to_pps(100.0);
+  task.spec.duration_s = 0.5;
+  task.spec.fluid.step_s = 25e-6;
+  const Runner runner = parking_lot_runner();
+  const auto fine = runner.run_one(task);
+
+  // The same two-hop lot built directly with that config.
+  net::ParkingLotSpec lot_spec;
+  lot_spec.num_hops = 2;
+  lot_spec.cross_flows_per_hop = 1;
+  lot_spec.hop_capacity_pps = task.spec.capacity_pps;
+  lot_spec.hop_delay_s = kParkingLotHopDelay;
+  lot_spec.access_delay_s = kParkingLotAccessDelay;
+  const auto lot = net::make_parking_lot(lot_spec);
+  core::FluidSimulation sim(lot.topology, scenario::make_fluid_agents(task.spec),
+                            task.spec.fluid);
+  sim.run(task.spec.duration_s);
+  ASSERT_EQ(fine.mean_rate_pps.size(), 3u);
+  for (std::size_t a = 0; a < 3; ++a) {
+    EXPECT_EQ(fine.mean_rate_pps[a], sim.sent_pkts(a) / task.spec.duration_s)
+        << "flow " << a;
+  }
+
+  SweepTask coarse_task = task;
+  coarse_task.spec.fluid = core::FluidConfig{};
+  EXPECT_NE(runner.run_one(coarse_task).mean_rate_pps, fine.mean_rate_pps)
+      << "a 25 us cell must not reproduce the default 50 us result";
+}
+
 TEST(Sweep, TaskIndicesMustStrictlyIncrease) {
   auto tasks = tiny_grid().expand(tiny_base(), 42);
   std::swap(tasks[0], tasks[1]);
@@ -501,8 +538,8 @@ Runner counting_batch_runner(std::vector<std::vector<std::size_t>>* batches,
 }
 
 TEST(Batch, FluidBatchingIsByteInvariantAcrossThreadsAndShards) {
-  // The real SoA engine under the real dispatcher: any grouping of the
-  // fluid cells must reproduce the scalar run's bytes exactly.
+  // The real fluid runner under the real dispatcher: any grouping of the
+  // fluid cells must reproduce the per-cell run's bytes exactly.
   ParameterGrid grid = tiny_grid();
   grid.backends = {Backend::kFluid};
   const auto base = tiny_base();

@@ -133,13 +133,6 @@ Adaptive refinement (--adaptive, and the `plan` subcommand):
 
 Execution:
   --threads N         worker threads; 0 = hardware concurrency (default 0)
-  --batch-cells K     cells per batched runner invocation when the runner
-                      supports batching (fluid does: compatible cells
-                      integrate in lockstep through one SoA engine pass);
-                      0 = the runner's preferred batch (default, also for
-                      workers), 1 = scalar, K = group up to K compatible
-                      cells. Output bytes never change — batching is
-                      purely a throughput knob (see README "Performance")
   --seed S            base seed; per-task seeds derive from it (default 42)
   --shard K/N         run only tasks with index ≡ K (mod N); the union of
                       all N shards' outputs merges byte-identically into
@@ -229,8 +222,8 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       output stays byte-identical to the single-process
                       run
   worker only (one claim = one whole pending segment; its fluid cells
-  run in the runner's preferred lockstep batches, the rest one by one,
-  each result published as it lands — a crash mid-segment only
+  run in the runner's preferred batches, the rest one by one, each
+  result published as it lands — a crash mid-segment only
   re-enqueues the unpublished members, as one segment):
   --worker-id ID      claim-file name ([A-Za-z0-9_-]; default host-pid)
   --max-cells N       publish at most N cells, then exit (0 = no limit;
@@ -238,8 +231,8 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       pending as one segment)
   --plan-wait S       wait up to S seconds for the coordinator to seed
                       the plan (default 60)
-  (--threads, --batch-cells, --cache-dir, --timeout, --retries apply per
-   worker; results stay byte-identical whatever their values)
+  (--threads, --cache-dir, --timeout, --retries apply per worker;
+   results stay byte-identical whatever their values)
   fleet only:
   --workers N         worker slots to keep filled (default 1)
   --ssh HOST,...      run workers over ssh on these hosts (round-robin);
@@ -255,9 +248,9 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       Scaled-down workers are SIGTERMed; lease recovery
                       re-enqueues anything they held, so results are
                       unchanged
-  (--batch-cells, --threads, --cache-dir, --timeout, --retries, --lease,
-   --skew-margin, --max-cells, --plan-wait, --poll, --trace, --log-level
-   forward to every worker; each traced worker writes its own
+  (--threads, --cache-dir, --timeout, --retries, --lease, --skew-margin,
+   --max-cells, --plan-wait, --poll, --trace, --log-level forward to
+   every worker; each traced worker writes its own
    workers/<id>.trace shard for `bbrsweep trace` to merge, and a traced
    fleet or coordinator adds one for its own idle waits)
 
@@ -578,9 +571,6 @@ Options parse_args(int argc, char** argv, int first) {
     } else if (arg == "--threads") {
       opt.run.threads =
           static_cast<std::size_t>(parse_count(next(i), "threads"));
-    } else if (arg == "--batch-cells") {
-      opt.run.batch_cells =
-          static_cast<std::size_t>(parse_count(next(i), "batch cells"));
     } else if (arg == "--seed") {
       opt.run.base_seed = parse_count(next(i), "seed");
     } else if (arg == "--shard") {
@@ -986,7 +976,7 @@ int run_worker_cmd(int argc, char** argv) {
   double lease_s = 60.0, skew_margin_s = -1.0, poll_s = 0.5,
          plan_wait_s = 60.0;
   bool lease_given = false, skew_given = false;
-  std::size_t max_cells = 0, batch_cells = 0;
+  std::size_t max_cells = 0;
   bool quiet = false;
   bool trace = obs::trace_env_on();
 
@@ -1016,9 +1006,6 @@ int run_worker_cmd(int argc, char** argv) {
     } else if (arg == "--skew-margin") {
       skew_margin_s = parse_nonnegative_finite(next(i), "skew margin");
       skew_given = true;
-    } else if (arg == "--batch-cells") {
-      batch_cells =
-          static_cast<std::size_t>(parse_count(next(i), "batch cells"));
     } else if (arg == "--poll") {
       poll_s = parse_positive_finite(next(i), "poll");
     } else if (arg == "--plan-wait") {
@@ -1091,7 +1078,6 @@ int run_worker_cmd(int argc, char** argv) {
   config.worker_id = id;
   config.max_cells = max_cells;
   config.poll_s = poll_s;
-  config.batch_cells = batch_cells;
   config.stats = true;  // cheap, and `bbrsweep status` feeds on it
   config.metrics = true;  // snapshot the registry beside the stats file
   const auto report = orchestrator::run_worker(queue, plan, run, config);
@@ -1169,7 +1155,7 @@ int run_fleet_cmd(int argc, char** argv) {
       fleet.plan_wait_s = parse_nonnegative_finite(value, "plan wait");
       fleet.worker_args.push_back(arg);
       fleet.worker_args.push_back(value);
-    } else if (arg == "--batch-cells" || arg == "--threads" || arg == "--cache-dir" ||
+    } else if (arg == "--threads" || arg == "--cache-dir" ||
                arg == "--timeout" || arg == "--retries" ||
                arg == "--lease" || arg == "--skew-margin" ||
                arg == "--max-cells") {
