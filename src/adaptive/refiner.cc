@@ -5,7 +5,7 @@
 #include <map>
 
 #include "common/csv.h"
-#include "common/hash.h"
+#include "common/number.h"
 #include "common/require.h"
 #include "orchestrator/execution_plan.h"
 #include "scenario/spec_codec.h"

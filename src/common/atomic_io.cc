@@ -1,11 +1,13 @@
 #include "common/atomic_io.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <thread>
 
 #include "common/hash.h"
@@ -42,11 +44,28 @@ void write_file_atomically(const std::string& path, const std::string& bytes,
 }
 
 std::optional<std::string> read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  // Size the buffer from the file's length so a multi-megabyte plan is
+  // read in one call; keep reading past it in case the file grew since.
+  std::string bytes;
+  struct stat st {};
+  if (::fstat(::fileno(file), &st) == 0 && S_ISREG(st.st_mode)) {
+    bytes.resize(static_cast<std::size_t>(st.st_size) + 1);
+  }
+  std::size_t got = 0;
+  while (true) {
+    if (got == bytes.size()) {
+      bytes.resize(std::max<std::size_t>(2 * got, 4096));
+    }
+    const std::size_t n =
+        std::fread(bytes.data() + got, 1, bytes.size() - got, file);
+    if (n == 0) break;
+    got += n;
+  }
+  std::fclose(file);
+  bytes.resize(got);
+  return bytes;
 }
 
 }  // namespace bbrmodel

@@ -1,12 +1,26 @@
 #include "common/csv.h"
 
-#include <cmath>
-#include <sstream>
-
-#include "common/json.h"
 #include "common/require.h"
 
 namespace bbrmodel {
+
+namespace {
+
+/// csv_escape, appended to `out` without the temporary.
+void append_csv_field(std::string& out, const std::string& field) {
+  if (field.find_first_of(",\"\n") == std::string::npos) {
+    out += field;
+    return;
+  }
+  out += '"';
+  for (char c : field) {
+    if (c == '"') out += "\"\"";
+    else out += c;
+  }
+  out += '"';
+}
+
+}  // namespace
 
 CsvWriter::CsvWriter(std::ostream& out, const std::vector<std::string>& header)
     : out_(out), width_(header.size()) {
@@ -20,40 +34,31 @@ CsvWriter::CsvWriter(std::ostream& out, const std::vector<std::string>& header)
 
 void CsvWriter::write_row(const std::vector<double>& values) {
   BBRM_REQUIRE(values.size() == width_);
-  std::ostringstream os;
-  os.precision(10);
+  std::string line;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) os << ',';
-    os << values[i];
+    if (i != 0) line += ',';
+    append_short_number(line, values[i]);
   }
-  out_ << os.str() << '\n';
+  line += '\n';
+  out_ << line;
   ++rows_;
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
   BBRM_REQUIRE(cells.size() == width_);
+  std::string line;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) out_ << ',';
-    out_ << csv_escape(cells[i]);
+    if (i != 0) line += ',';
+    append_csv_field(line, cells[i]);
   }
-  out_ << '\n';
+  line += '\n';
+  out_ << line;
   ++rows_;
 }
 
-std::string csv_number(double v) {
-  // Same formatting as JSON numbers, so CSV and JSON serializations of one
-  // result can never drift apart; CSV leaves non-finite cells empty.
-  return std::isfinite(v) ? json_number(v) : "";
-}
-
 std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
+  std::string out;
+  append_csv_field(out, field);
   return out;
 }
 

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/number.h"  // csv_number
+
 namespace bbrmodel {
 
 /// Streams rows of doubles (plus a header) in RFC-4180-enough CSV.
@@ -32,11 +34,5 @@ class CsvWriter {
 
 /// Quote a CSV field if needed (commas, quotes, newlines).
 std::string csv_escape(const std::string& field);
-
-/// Deterministic, locale-independent numeric cell ("%.10g"; non-finite
-/// values become empty cells). Mixed string/number rows format their
-/// numbers through this so identical results serialize to identical bytes
-/// regardless of thread count or platform locale.
-std::string csv_number(double v);
 
 }  // namespace bbrmodel

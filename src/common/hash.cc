@@ -1,6 +1,5 @@
 #include "common/hash.h"
 
-#include <cmath>
 #include <cstdio>
 
 namespace bbrmodel {
@@ -25,16 +24,6 @@ std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string exact_number(double v) {
-  // %.17g is the smallest fixed precision that round-trips every finite
-  // double through strtod; non-finite values get stable spellings.
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 

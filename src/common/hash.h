@@ -1,5 +1,4 @@
-// Stable byte hashing and exact number rendering for content-addressed
-// stores.
+// Stable byte hashing for content-addressed stores.
 //
 // The sweep engine's CellCache addresses finished experiment cells by a
 // hash of their canonical spec bytes (scenario/spec_codec). Cache files
@@ -29,11 +28,5 @@ std::uint64_t fnv1a64(const std::string& bytes,
 
 /// Fixed-width lowercase hex of a 64-bit value ("00ff00ff00ff00ff").
 std::string hex64(std::uint64_t v);
-
-/// Lossless text rendering of a double ("%.17g"): strtod of the result
-/// recovers the exact bit pattern. Used wherever serialized bytes feed a
-/// hash or must round-trip exactly (spec codec, cache cells) — unlike
-/// csv_number/json_number, which trade precision for short output.
-std::string exact_number(double v);
 
 }  // namespace bbrmodel

@@ -1,6 +1,5 @@
 #include "common/json.h"
 
-#include <cmath>
 #include <cstdio>
 
 #include "common/require.h"
@@ -38,13 +37,6 @@ std::string json_quote(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
 }
 
 JsonWriter::JsonWriter(std::ostream& out) : out_(out) {}

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "common/number.h"  // json_number
+
 namespace bbrmodel {
 
 /// Escape a string for inclusion in a JSON document (adds the quotes).
@@ -61,9 +63,5 @@ class JsonWriter {
   bool root_written_ = false;
   bool key_pending_ = false;
 };
-
-/// Deterministic shortest-ish representation of a double ("%.10g", with
-/// non-finite values mapped to null). Shared by the CSV and JSON emitters.
-std::string json_number(double v);
 
 }  // namespace bbrmodel

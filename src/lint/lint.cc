@@ -442,8 +442,8 @@ void check_csv_number(const std::string& path, const Tokens& tokens,
         (t.text == "setprecision" || t.text == "hexfloat")) {
       add_finding(out, path, t.line, "csv-number-required",
                   "manual stream precision in a result-producing layer — "
-                  "doubles reach result streams only through "
-                  "common/csv csv_number or common/json json_number");
+                  "doubles reach result streams only through the "
+                  "common/number codec (csv_number, json_number)");
       continue;
     }
     if (t.kind != Token::Kind::kString || !has_float_format(t.text)) continue;
@@ -451,9 +451,9 @@ void check_csv_number(const std::string& path, const Tokens& tokens,
     const std::string callee = callees.empty() ? "" : callees.back();
     if (callee == "log" || callee == "vlog") continue;
     add_finding(out, path, t.line, "csv-number-required",
-                "float printf conversion outside common/csv & common/json — "
-                "format result doubles with csv_number/json_number so "
-                "identical results serialize to identical bytes");
+                "float printf conversion outside common/number — format "
+                "result doubles with csv_number/json_number so identical "
+                "results serialize to identical bytes");
   }
 }
 
@@ -556,7 +556,7 @@ const std::vector<RuleInfo>& rules() {
        {"src/obs/"}},
       {"csv-number-required",
        "no direct float formatting (%g/%f/%e, setprecision) in result "
-       "layers outside common/csv & common/json",
+       "layers; the common/number codec renders every double",
        {"src/sweep/", "src/orchestrator/", "src/metrics/", "src/obs/"}},
       {"suppression-needs-justification",
        "every bbrlint:allow(rule: why) must argue its exception in-file",
@@ -601,9 +601,7 @@ std::vector<Finding> lint_source(const std::string& path,
   if (in_layers(path, all[4].layers)) {
     check_single_writer_shard(path, lexed.tokens, raw);
   }
-  if (in_layers(path, all[5].layers) &&
-      !starts_with(path, "src/common/csv") &&
-      !starts_with(path, "src/common/json")) {
+  if (in_layers(path, all[5].layers)) {
     check_csv_number(path, lexed.tokens, raw);
   }
 

@@ -1,13 +1,13 @@
 #include "orchestrator/execution_plan.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "adaptive/refiner.h"
 #include "common/csv.h"
+#include "common/number.h"
 #include "common/parse.h"
 #include "common/require.h"
 #include "scenario/spec_codec.h"
@@ -17,31 +17,66 @@ namespace bbrmodel::orchestrator {
 
 namespace {
 
-constexpr const char* kVersionLine = "bbrm-plan=1";
+constexpr std::string_view kVersionLine = "bbrm-plan=1";
 
-sweep::Backend parse_backend_name(const std::string& name) {
-  const auto backend = sweep::backend_from_name(name);
-  BBRM_REQUIRE_MSG(backend.has_value(),
-                   "execution plan: unknown backend '" + name + "'");
+sweep::Backend parse_backend_name(std::string_view name) {
+  const auto backend = sweep::backend_from_name(std::string(name));
+  BBRM_REQUIRE_MSG(backend.has_value(), "execution plan: unknown backend '" +
+                                            std::string(name) + "'");
   return *backend;
 }
 
-/// "key=value" line reader that fails loudly on the wrong key — plan
-/// parsing must reject shuffled or truncated documents, not misread them.
-std::string expect_field(std::istringstream& in, const std::string& key) {
-  std::string line;
-  BBRM_REQUIRE_MSG(static_cast<bool>(std::getline(in, line)),
-                   "execution plan: truncated before '" + key + "'");
-  const std::string prefix = key + "=";
-  BBRM_REQUIRE_MSG(line.rfind(prefix, 0) == 0,
-                   "execution plan: expected '" + prefix + "...', got '" +
-                       line + "'");
-  return line.substr(prefix.size());
-}
+/// Line-by-line reader over a plan document. Every field it hands out
+/// views the document — nothing is copied until a value is decoded.
+class PlanReader {
+ public:
+  explicit PlanReader(std::string_view bytes) : rest_(bytes) {}
 
-std::size_t parse_size(const std::string& text, const std::string& what) {
-  return static_cast<std::size_t>(
-      parse_u64(text, "execution plan " + what));
+  std::optional<std::string_view> line() { return next_line(rest_); }
+
+  /// The value of a "key=value" line that must come next — plan parsing
+  /// must reject shuffled or truncated documents, not misread them.
+  std::string_view field(std::string_view key) {
+    const auto text = line();
+    BBRM_REQUIRE_MSG(text.has_value(), "execution plan: truncated before '" +
+                                           std::string(key) + "'");
+    BBRM_REQUIRE_MSG(text->size() > key.size() &&
+                         text->substr(0, key.size()) == key &&
+                         (*text)[key.size()] == '=',
+                     "execution plan: expected '" + std::string(key) +
+                         "=...', got '" + std::string(*text) + "'");
+    return text->substr(key.size() + 1);
+  }
+
+  std::size_t size_field(std::string_view key, const char* what) {
+    return static_cast<std::size_t>(
+        parse_u64(field(key), std::string("execution plan ") + what));
+  }
+
+  /// The next `n` raw bytes, or nullopt when fewer remain.
+  std::optional<std::string_view> take(std::size_t n) {
+    if (n > rest_.size()) return std::nullopt;
+    const std::string_view bytes = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return bytes;
+  }
+
+  std::string_view rest() const { return rest_; }
+
+ private:
+  std::string_view rest_;
+};
+
+/// The version line and the runner/cells header fields.
+ExecutionPlan::Header read_header(PlanReader& in) {
+  const auto line = in.line();
+  BBRM_REQUIRE_MSG(line == kVersionLine,
+                   "execution plan: expected version line '" +
+                       std::string(kVersionLine) + "'");
+  ExecutionPlan::Header header;
+  header.runner = in.field("runner");
+  header.cells = in.size_field("cells", "count");
+  return header;
 }
 
 }  // namespace
@@ -121,72 +156,70 @@ std::string ExecutionPlan::describe_cell(std::size_t task_index) const {
 }
 
 std::string ExecutionPlan::serialize() const {
-  std::string out = kVersionLine;
+  std::string out(kVersionLine);
   out += "\nrunner=";
   out += runner_name_;
   out += "\ncells=";
-  out += std::to_string(cells_.size());
+  append_u64(out, cells_.size());
   out += '\n';
+  std::string spec;  // one buffer reused by every cell
   for (const auto& cell : cells_) {
     BBRM_REQUIRE_MSG(cell.mix_label.find('\n') == std::string::npos,
                      "mix labels must be single-line");
-    const std::string spec = scenario::canonical_spec_string(cell.spec);
+    spec.clear();
+    scenario::append_canonical_spec(spec, cell.spec);
+    if (&cell == &cells_.front()) {
+      // Plan cells have near-equal sizes: size the document once.
+      out.reserve(out.size() + cells_.size() * (spec.size() + 128));
+    }
     out += "cell=";
-    out += std::to_string(cell.index);
+    append_u64(out, cell.index);
     out += "\nbackend=";
     out += sweep::to_string(cell.backend);
     out += "\nmix=";
     out += cell.mix_label;
     out += "\nspec-bytes=";
-    out += std::to_string(spec.size());
+    append_u64(out, spec.size());
     out += '\n';
     out += spec;  // canonical bytes end in '\n' themselves
   }
   return out;
 }
 
-ExecutionPlan ExecutionPlan::parse(const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string line;
-  BBRM_REQUIRE_MSG(std::getline(in, line) && line == kVersionLine,
-                   "execution plan: expected version line '" +
-                       std::string(kVersionLine) + "'");
-  std::string runner_name = expect_field(in, "runner");
-  const std::size_t count = parse_size(expect_field(in, "cells"), "count");
+ExecutionPlan ExecutionPlan::parse(std::string_view bytes) {
+  PlanReader in(bytes);
+  Header header = read_header(in);
+  // Every cell takes more than one byte, so a count beyond the bytes left
+  // is a length lie: reject it before reserving for it.
+  BBRM_REQUIRE_MSG(header.cells <= in.rest().size(),
+                   "execution plan: " + std::to_string(header.cells) +
+                       " cells cannot fit in the " +
+                       std::to_string(in.rest().size()) + " bytes left");
 
   std::vector<sweep::SweepTask> cells;
-  cells.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  cells.reserve(header.cells);
+  for (std::size_t i = 0; i < header.cells; ++i) {
     sweep::SweepTask task;
-    task.index = parse_size(expect_field(in, "cell"), "cell index");
-    task.backend = parse_backend_name(expect_field(in, "backend"));
-    task.mix_label = expect_field(in, "mix");
-    const std::size_t spec_bytes =
-        parse_size(expect_field(in, "spec-bytes"), "spec size");
-    std::string spec(spec_bytes, '\0');
-    in.read(spec.data(), static_cast<std::streamsize>(spec_bytes));
-    BBRM_REQUIRE_MSG(in.gcount() ==
-                         static_cast<std::streamsize>(spec_bytes),
+    task.index = in.size_field("cell", "cell index");
+    task.backend = parse_backend_name(in.field("backend"));
+    task.mix_label = in.field("mix");
+    const std::size_t spec_bytes = in.size_field("spec-bytes", "spec size");
+    const auto spec = in.take(spec_bytes);
+    BBRM_REQUIRE_MSG(spec.has_value(),
                      "execution plan: truncated spec bytes of cell " +
                          std::to_string(task.index));
-    task.spec = scenario::parse_canonical_spec(spec);
+    task.spec = scenario::parse_canonical_spec(*spec);
     cells.push_back(std::move(task));
   }
-  BBRM_REQUIRE_MSG(!std::getline(in, line) || line.empty(),
+  const auto line = in.line();
+  BBRM_REQUIRE_MSG(!line || line->empty(),
                    "execution plan: trailing bytes after the last cell");
-  return ExecutionPlan(std::move(cells), std::move(runner_name));
+  return ExecutionPlan(std::move(cells), std::move(header.runner));
 }
 
-ExecutionPlan::Header ExecutionPlan::peek_header(const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string line;
-  BBRM_REQUIRE_MSG(std::getline(in, line) && line == kVersionLine,
-                   "execution plan: expected version line '" +
-                       std::string(kVersionLine) + "'");
-  Header header;
-  header.runner = expect_field(in, "runner");
-  header.cells = parse_size(expect_field(in, "cells"), "count");
-  return header;
+ExecutionPlan::Header ExecutionPlan::peek_header(std::string_view bytes) {
+  PlanReader in(bytes);
+  return read_header(in);
 }
 
 sweep::SweepResult execute(const ExecutionPlan& plan,

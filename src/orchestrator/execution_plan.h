@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/sweep.h"
@@ -104,7 +105,9 @@ class ExecutionPlan {
   std::string serialize() const;
 
   /// Inverse of serialize(). Throws PreconditionError on malformed input.
-  static ExecutionPlan parse(const std::string& bytes);
+  /// Length fields are bounded by the bytes that remain, so a lying count
+  /// or spec size is a PreconditionError, never a huge allocation.
+  static ExecutionPlan parse(std::string_view bytes);
 
   /// The header fields of a serialized plan, parsed from its first lines
   /// alone — a million-cell plan's size and runner cost three getlines,
@@ -116,7 +119,7 @@ class ExecutionPlan {
     std::string runner;
     std::size_t cells = 0;
   };
-  static Header peek_header(const std::string& bytes);
+  static Header peek_header(std::string_view bytes);
 
  private:
   ExecutionPlan(std::vector<sweep::SweepTask> cells, std::string runner_name);

@@ -26,6 +26,7 @@
 #include "common/csv.h"
 #include "common/hash.h"
 #include "common/json.h"
+#include "common/number.h"
 #include "common/parse.h"
 #include "common/require.h"
 #include "obs/metrics.h"
@@ -219,10 +220,10 @@ double parse_stat_double(const std::string& text) {
 /// presence makes a legacy binary's plan parse fail loudly instead of
 /// misreading the document. Seeding byte-compares the whole plan file, so
 /// mixing layouts in one directory is rejected for free.
-constexpr const char* kLayoutStamp = "bbrm-queue-layout=2\n";
+constexpr std::string_view kLayoutStamp = "bbrm-queue-layout=2\n";
 
-bool has_layout_stamp(const std::string& bytes) {
-  return bytes.rfind(kLayoutStamp, 0) == 0;
+bool has_layout_stamp(std::string_view bytes) {
+  return bytes.substr(0, kLayoutStamp.size()) == kLayoutStamp;
 }
 
 /// Result-log record framing. One record is
@@ -286,11 +287,13 @@ std::string encode_log_record(std::size_t index, bool ok,
   return out;
 }
 
+/// One decoded record; `error` and `payload` view the bytes it was
+/// decoded from.
 struct LogRecord {
   std::size_t index = 0;
   bool ok = true;
-  std::string error;
-  std::string payload;
+  std::string_view error;
+  std::string_view payload;
 };
 
 /// Decode one record from the front of `data`. nullopt = incomplete or
@@ -314,8 +317,9 @@ std::optional<std::pair<LogRecord, std::size_t>> decode_log_record(
   LogRecord record;
   record.index = static_cast<std::size_t>(get_u64(data + 16));
   record.ok = (flags & 1u) != 0;
-  record.error.assign(data + kLogHeaderBytes, error_len);
-  record.payload.assign(data + kLogHeaderBytes + error_len, payload_len);
+  record.error = std::string_view(data + kLogHeaderBytes, error_len);
+  record.payload =
+      std::string_view(data + kLogHeaderBytes + error_len, payload_len);
   return std::make_pair(std::move(record), total);
 }
 
@@ -419,25 +423,21 @@ std::string encode_result_file(const sweep::TaskResult& result) {
 /// file is absent or damaged.
 std::optional<sweep::TaskResult> load_result_file(
     const std::string& path, const sweep::SweepTask& task) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string status, error;
-  if (!std::getline(in, status) || status.rfind("status=", 0) != 0) {
-    return std::nullopt;
-  }
-  if (!std::getline(in, error) || error.rfind("error=", 0) != 0) {
-    return std::nullopt;
-  }
-  std::ostringstream rest;
-  rest << in.rdbuf();
-  auto metrics = sweep::decode_cell_metrics(rest.str());
+  const auto bytes = read_text_file(path);
+  if (!bytes) return std::nullopt;
+  std::string_view rest = *bytes;
+  const auto status = next_line(rest);
+  if (!status || status->substr(0, 7) != "status=") return std::nullopt;
+  const auto error = next_line(rest);
+  if (!error || error->substr(0, 6) != "error=") return std::nullopt;
+  auto metrics = sweep::decode_cell_metrics(rest);
   if (!metrics) return std::nullopt;
 
   sweep::TaskResult result;
   result.task = task;
   result.metrics = std::move(*metrics);
-  result.ok = status.substr(7) == "ok";
-  result.error = error.substr(6);
+  result.ok = status->substr(7) == "ok";
+  result.error = error->substr(6);
   return result;
 }
 
@@ -706,7 +706,7 @@ QueueLayout WorkQueue::layout() const {
   std::lock_guard<std::mutex> lock(layout_mutex_);
   if (layout_) return *layout_;
   const auto prefix =
-      read_file_prefix(plan_path(), std::string(kLayoutStamp).size());
+      read_file_prefix(plan_path(), kLayoutStamp.size());
   if (!prefix) {
     // No plan yet: report (but never cache) the legacy default — the
     // seed that eventually lands decides the real answer.
@@ -720,13 +720,12 @@ QueueLayout WorkQueue::layout() const {
 std::optional<std::size_t> WorkQueue::plan_size_hint() const {
   // 4 KiB covers the stamp plus the three header lines of any plan; a
   // million-cell document never gets read for its size.
-  auto prefix = read_file_prefix(plan_path(), 4096);
+  const auto prefix = read_file_prefix(plan_path(), 4096);
   if (!prefix) return std::nullopt;
-  if (has_layout_stamp(*prefix)) {
-    prefix->erase(0, std::string(kLayoutStamp).size());
-  }
+  std::string_view header = *prefix;
+  if (has_layout_stamp(header)) header.remove_prefix(kLayoutStamp.size());
   try {
-    return ExecutionPlan::peek_header(*prefix).cells;
+    return ExecutionPlan::peek_header(header).cells;
   } catch (...) {
     return std::nullopt;
   }
@@ -787,7 +786,12 @@ void WorkQueue::seed(const ExecutionPlan& plan, std::size_t batch,
   // per group of cells, so the segment layout reuses it wholesale and
   // only the result side changes representation.
   const std::size_t chunk = segment ? segment_cells : batch;
-  std::string bytes = plan.serialize();
+  std::string bytes;
+  {
+    obs::Span span("serialize", "queue");
+    bytes = plan.serialize();
+    span.arg("bytes", static_cast<std::uint64_t>(bytes.size()));
+  }
   if (segment) bytes.insert(0, kLayoutStamp);
   if (fs::exists(plan_path())) {
     const std::string stored = read_text_file(plan_path()).value_or("");
@@ -929,11 +933,13 @@ std::optional<double> WorkQueue::stored_skew_margin_s(
 
 ExecutionPlan WorkQueue::load_plan() const {
   BBRM_REQUIRE_MSG(has_plan(), "queue " + dir_ + " has no plan yet");
-  std::string bytes = read_text_file(plan_path()).value_or("");
-  if (has_layout_stamp(bytes)) {
-    bytes.erase(0, std::string(kLayoutStamp).size());
-  }
-  return ExecutionPlan::parse(bytes);
+  obs::Span span("plan-load", "queue");
+  const std::string bytes = read_text_file(plan_path()).value_or("");
+  std::string_view document = bytes;
+  if (has_layout_stamp(document)) document.remove_prefix(kLayoutStamp.size());
+  ExecutionPlan plan = ExecutionPlan::parse(document);
+  span.arg("cells", static_cast<std::uint64_t>(plan.size()));
+  return plan;
 }
 
 std::optional<std::size_t> WorkQueue::try_claim(
@@ -1447,15 +1453,25 @@ QueueProgress WorkQueue::progress() const {
   return p;
 }
 
+const WorkQueue::ResultLoc* WorkQueue::find_result_locked(
+    std::size_t index) const {
+  // Records are first-wins, so an indexed cell never changes: only a miss
+  // pays for the readdir + per-log stat of a refresh.
+  auto it = result_index_.find(index);
+  if (it == result_index_.end()) {
+    refresh_result_index_locked();
+    it = result_index_.find(index);
+  }
+  return it == result_index_.end() ? nullptr : &it->second;
+}
+
 std::optional<bool> WorkQueue::result_ok(std::size_t index) const {
   if (layout() == QueueLayout::kPerCell) {
     return result_file_ok(result_path(index));
   }
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
-    refresh_result_index_locked();
-    const auto it = result_index_.find(index);
-    if (it != result_index_.end()) return it->second.ok != 0;
+    if (const ResultLoc* loc = find_result_locked(index)) return loc->ok != 0;
   }
   return result_file_ok(failed_path(index));
 }
@@ -1467,46 +1483,42 @@ std::optional<sweep::TaskResult> WorkQueue::load_result(
   }
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
-    refresh_result_index_locked();
-    const auto it = result_index_.find(task.index);
-    if (it != result_index_.end()) {
+    const ResultLoc* loc = find_result_locked(task.index);
+    if (loc != nullptr) {
       // One pread of one record through the cached handle — streaming
       // collects hold a single record in memory, never a segment's worth
       // of decoded results.
-      LogState& log = logs_[it->second.log];
+      LogState& log = logs_[loc->log];
       if (log.read == nullptr) {
         log.read = std::fopen(
             (fs::path(results_dir()) / log.name).string().c_str(), "rb");
       }
+      std::string record(kLogHeaderBytes, '\0');
       if (log.read != nullptr &&
-          std::fseek(log.read, static_cast<long>(it->second.offset),
-                     SEEK_SET) == 0) {
-        char header[kLogHeaderBytes];
-        if (std::fread(header, 1, sizeof header, log.read) ==
-                sizeof header &&
-            get_u32(header) == kLogMagic) {
-          const std::uint32_t error_len = get_u32(header + 4);
-          const std::uint32_t payload_len = get_u32(header + 8);
-          if (error_len <= kMaxLogField && payload_len <= kMaxLogField) {
-            std::string body(
-                static_cast<std::size_t>(error_len) + payload_len + 8,
-                '\0');
-            if (std::fread(body.data(), 1, body.size(), log.read) ==
-                body.size()) {
-              std::string record(header, sizeof header);
-              record += body;
-              if (const auto decoded = decode_log_record(record.data(),
-                                                         record.size())) {
-                auto metrics =
-                    sweep::decode_cell_metrics(decoded->first.payload);
-                if (metrics) {
-                  sweep::TaskResult result;
-                  result.task = task;
-                  result.metrics = std::move(*metrics);
-                  result.ok = decoded->first.ok;
-                  result.error = decoded->first.error;
-                  return result;
-                }
+          std::fseek(log.read, static_cast<long>(loc->offset), SEEK_SET) ==
+              0 &&
+          std::fread(record.data(), 1, kLogHeaderBytes, log.read) ==
+              kLogHeaderBytes &&
+          get_u32(record.data()) == kLogMagic) {
+        const std::uint32_t error_len = get_u32(record.data() + 4);
+        const std::uint32_t payload_len = get_u32(record.data() + 8);
+        if (error_len <= kMaxLogField && payload_len <= kMaxLogField) {
+          const std::size_t body =
+              static_cast<std::size_t>(error_len) + payload_len + 8;
+          record.resize(kLogHeaderBytes + body);
+          if (std::fread(record.data() + kLogHeaderBytes, 1, body,
+                         log.read) == body) {
+            if (const auto decoded =
+                    decode_log_record(record.data(), record.size())) {
+              auto metrics =
+                  sweep::decode_cell_metrics(decoded->first.payload);
+              if (metrics) {
+                sweep::TaskResult result;
+                result.task = task;
+                result.metrics = std::move(*metrics);
+                result.ok = decoded->first.ok;
+                result.error = decoded->first.error;
+                return result;
               }
             }
           }

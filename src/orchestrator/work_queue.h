@@ -438,6 +438,10 @@ class WorkQueue {
   /// Pull every log's new bytes into the result index (one stat per log,
   /// growth read once). Caller must hold result_mutex_.
   void refresh_result_index_locked() const;
+  /// The indexed record of `index`, refreshing the index only when it
+  /// misses (records are first-wins, so a hit is final). nullptr when no
+  /// log holds the cell. Caller must hold result_mutex_.
+  const ResultLoc* find_result_locked(std::size_t index) const;
   /// Has `index` a published result? Per-cell layout stats the result
   /// file. Segment layout refreshes the index into `result_lock` on first
   /// use (refresh-once-per-sweep for callers probing many members), then

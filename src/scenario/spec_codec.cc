@@ -1,207 +1,187 @@
 #include "scenario/spec_codec.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <functional>
-#include <map>
-#include <set>
-#include <sstream>
+#include <array>
+#include <charconv>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/number.h"
+#include "common/parse.h"
 #include "common/require.h"
 
 namespace bbrmodel::scenario {
 
 namespace {
 
-std::string encode_bool(bool v) { return v ? "1" : "0"; }
-
-bool decode_bool(const std::string& text) {
+bool decode_bool(std::string_view text) {
   BBRM_REQUIRE_MSG(text == "0" || text == "1",
-                   "spec codec: bool fields are 0 or 1, got '" + text + "'");
+                   "spec codec: bool fields are 0 or 1, got '" +
+                       std::string(text) + "'");
   return text == "1";
 }
 
-double decode_double(const std::string& text) {
-  if (text == "nan") return std::nan("");
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  BBRM_REQUIRE_MSG(end != text.c_str() && *end == '\0',
-                   "spec codec: bad number '" + text + "'");
+double decode_double(std::string_view text) {
+  const auto v = decode_number(text);
+  BBRM_REQUIRE_MSG(v.has_value(),
+                   "spec codec: bad number '" + std::string(text) + "'");
+  return *v;
+}
+
+/// Integer fields hold plain base-10 digits (int: an optional '-'): a
+/// sign that would wrap or a value that would truncate is rejected.
+std::uint64_t decode_u64(std::string_view text) {
+  const auto v = try_parse_u64(text);
+  BBRM_REQUIRE_MSG(v.has_value(),
+                   "spec codec: bad integer '" + std::string(text) + "'");
+  return *v;
+}
+
+int decode_int(std::string_view text) {
+  int v = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  BBRM_REQUIRE_MSG(ec == std::errc() && ptr == last,
+                   "spec codec: bad integer '" + std::string(text) + "'");
   return v;
 }
 
-std::uint64_t decode_u64(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  BBRM_REQUIRE_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
-                   "spec codec: bad integer '" + text + "'");
-  return v;
-}
-
-int decode_int(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  BBRM_REQUIRE_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
-                   "spec codec: bad integer '" + text + "'");
-  return static_cast<int>(v);
-}
-
-CcaKind decode_cca(const std::string& name) {
-  if (name == to_string(CcaKind::kReno)) return CcaKind::kReno;
-  if (name == to_string(CcaKind::kCubic)) return CcaKind::kCubic;
-  if (name == to_string(CcaKind::kBbrv1)) return CcaKind::kBbrv1;
-  if (name == to_string(CcaKind::kBbrv2)) return CcaKind::kBbrv2;
-  BBRM_REQUIRE_MSG(false, "spec codec: unknown CCA '" + name + "'");
+CcaKind decode_cca(std::string_view name) {
+  for (const CcaKind kind : {CcaKind::kReno, CcaKind::kCubic, CcaKind::kBbrv1,
+                             CcaKind::kBbrv2}) {
+    if (name == to_string(kind)) return kind;
+  }
+  BBRM_REQUIRE_MSG(false,
+                   "spec codec: unknown CCA '" + std::string(name) + "'");
   return CcaKind::kReno;
 }
 
-std::string encode_flows(const std::vector<CcaKind>& flows) {
-  std::string out;
+void encode_flows(std::string& out, const std::vector<CcaKind>& flows) {
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (i != 0) out += ',';
     out += to_string(flows[i]);
   }
-  return out;
 }
 
-std::vector<CcaKind> decode_flows(const std::string& text) {
-  std::vector<CcaKind> flows;
-  std::stringstream stream(text);
-  std::string name;
-  while (std::getline(stream, name, ',')) flows.push_back(decode_cca(name));
-  return flows;
-}
-
-std::string encode_doubles(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += exact_number(values[i]);
+/// Comma-separated names; like a getline split, a trailing comma adds no
+/// empty name.
+void decode_flows(std::string_view text, std::vector<CcaKind>& flows) {
+  flows.clear();
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t comma = text.find(',', pos);
+    if (comma == std::string_view::npos) comma = text.size();
+    flows.push_back(decode_cca(text.substr(pos, comma - pos)));
+    pos = comma + 1;
   }
-  return out;
 }
 
-std::vector<double> decode_doubles(const std::string& text) {
-  std::vector<double> values;
-  std::stringstream stream(text);
-  std::string token;
-  while (stream >> token) values.push_back(decode_double(token));
-  return values;
+std::vector<double> decode_doubles(std::string_view text) {
+  auto values = decode_numbers(text);
+  BBRM_REQUIRE_MSG(values.has_value(), "spec codec: bad number list '" +
+                                           std::string(text) + "'");
+  return std::move(*values);
 }
 
-std::string encode_discipline(net::Discipline d) {
+const char* encode_discipline(net::Discipline d) {
   return d == net::Discipline::kRed ? "red" : "droptail";
 }
 
-net::Discipline decode_discipline(const std::string& text) {
+net::Discipline decode_discipline(std::string_view text) {
   if (text == "droptail") return net::Discipline::kDropTail;
   if (text == "red") return net::Discipline::kRed;
-  BBRM_REQUIRE_MSG(false, "spec codec: unknown discipline '" + text + "'");
+  BBRM_REQUIRE_MSG(false, "spec codec: unknown discipline '" +
+                              std::string(text) + "'");
   return net::Discipline::kDropTail;
 }
 
-/// One serialized field: canonical key, getter, setter.
+/// One serialized field: canonical key, value encoder (appends), value
+/// decoder.
 struct FieldCodec {
-  const char* key;
-  std::function<std::string(const ExperimentSpec&)> get;
-  std::function<void(ExperimentSpec&, const std::string&)> set;
+  std::string_view key;
+  void (*encode)(const ExperimentSpec&, std::string&);
+  void (*decode)(ExperimentSpec&, std::string_view);
 };
 
-#define BBRM_DOUBLE_FIELD(name, expr)                                     \
-  FieldCodec {                                                            \
-    name, [](const ExperimentSpec& s) { return exact_number(s.expr); },   \
-        [](ExperimentSpec& s, const std::string& v) {                     \
-          s.expr = decode_double(v);                                      \
-        }                                                                 \
+#define BBRM_FIELD(name, encode_expr, decode_stmt)                          \
+  FieldCodec {                                                              \
+    name, [](const ExperimentSpec& s, std::string& out) { encode_expr; },   \
+        [](ExperimentSpec& s, std::string_view v) { decode_stmt; }          \
   }
-#define BBRM_BOOL_FIELD(name, expr)                                       \
-  FieldCodec {                                                            \
-    name, [](const ExperimentSpec& s) { return encode_bool(s.expr); },    \
-        [](ExperimentSpec& s, const std::string& v) {                     \
-          s.expr = decode_bool(v);                                        \
-        }                                                                 \
-  }
+#define BBRM_DOUBLE_FIELD(name, expr)                                       \
+  BBRM_FIELD(name, append_exact_number(out, s.expr),                        \
+             s.expr = decode_double(v))
+#define BBRM_BOOL_FIELD(name, expr) \
+  BBRM_FIELD(name, out += s.expr ? '1' : '0', s.expr = decode_bool(v))
 
 /// Every simulation-relevant field, in canonical emission order. A new
 /// ExperimentSpec/FluidConfig field MUST be added here (the round-trip
 /// test in tests/cache_test.cc exists to catch forgetting).
-const std::vector<FieldCodec>& field_codecs() {
-  static const std::vector<FieldCodec> kFields = {
-      {"mix.label",
-       [](const ExperimentSpec& s) { return s.mix.label; },
-       [](ExperimentSpec& s, const std::string& v) { s.mix.label = v; }},
-      {"mix.flows",
-       [](const ExperimentSpec& s) { return encode_flows(s.mix.flows); },
-       [](ExperimentSpec& s, const std::string& v) {
-         s.mix.flows = decode_flows(v);
-       }},
-      BBRM_DOUBLE_FIELD("capacity_pps", capacity_pps),
-      BBRM_DOUBLE_FIELD("bottleneck_delay_s", bottleneck_delay_s),
-      BBRM_DOUBLE_FIELD("min_rtt_s", min_rtt_s),
-      BBRM_DOUBLE_FIELD("max_rtt_s", max_rtt_s),
-      {"flow_rtts_s",
-       [](const ExperimentSpec& s) { return encode_doubles(s.flow_rtts_s); },
-       [](ExperimentSpec& s, const std::string& v) {
-         s.flow_rtts_s = decode_doubles(v);
-       }},
-      BBRM_DOUBLE_FIELD("buffer_bdp", buffer_bdp),
-      {"discipline",
-       [](const ExperimentSpec& s) { return encode_discipline(s.discipline); },
-       [](ExperimentSpec& s, const std::string& v) {
-         s.discipline = decode_discipline(v);
-       }},
-      BBRM_DOUBLE_FIELD("duration_s", duration_s),
-      {"seed",
-       [](const ExperimentSpec& s) { return std::to_string(s.seed); },
-       [](ExperimentSpec& s, const std::string& v) { s.seed = decode_u64(v); }},
-      BBRM_DOUBLE_FIELD("fluid.step_s", fluid.step_s),
-      BBRM_DOUBLE_FIELD("fluid.record_interval_s", fluid.record_interval_s),
-      BBRM_DOUBLE_FIELD("fluid.k_time", fluid.k_time),
-      BBRM_DOUBLE_FIELD("fluid.k_rate", fluid.k_rate),
-      BBRM_DOUBLE_FIELD("fluid.k_vol", fluid.k_vol),
-      BBRM_DOUBLE_FIELD("fluid.k_prob", fluid.k_prob),
-      BBRM_DOUBLE_FIELD("fluid.droptail_exponent", fluid.droptail_exponent),
-      BBRM_DOUBLE_FIELD("fluid.loss_indicator_eps", fluid.loss_indicator_eps),
-      BBRM_BOOL_FIELD("fluid.literal_eq18", fluid.literal_eq18),
-      BBRM_BOOL_FIELD("fluid.loss_based_slow_start",
-                      fluid.loss_based_slow_start),
-      BBRM_BOOL_FIELD("fluid.per_rtt_loss_events", fluid.per_rtt_loss_events),
-      BBRM_BOOL_FIELD("fluid.literal_eq19", fluid.literal_eq19),
-      BBRM_DOUBLE_FIELD("fluid.probe_rtt_interval_s",
-                        fluid.probe_rtt_interval_s),
-      BBRM_DOUBLE_FIELD("fluid.probe_rtt_duration_s",
-                        fluid.probe_rtt_duration_s),
-      BBRM_DOUBLE_FIELD("fluid.bbr2_loss_thresh", fluid.bbr2_loss_thresh),
-      BBRM_DOUBLE_FIELD("fluid.bbr2_beta", fluid.bbr2_beta),
-      BBRM_DOUBLE_FIELD("fluid.bbr2_headroom", fluid.bbr2_headroom),
-      BBRM_DOUBLE_FIELD("fluid.inflight_hi_growth_pps",
-                        fluid.inflight_hi_growth_pps),
-      BBRM_DOUBLE_FIELD("fluid.mss_bytes", fluid.mss_bytes),
-      BBRM_DOUBLE_FIELD("fluid.max_rate_factor", fluid.max_rate_factor),
-      BBRM_BOOL_FIELD("fluid.model_startup", fluid.model_startup),
-      BBRM_DOUBLE_FIELD("fluid.startup_gain", fluid.startup_gain),
-      BBRM_DOUBLE_FIELD("fluid.startup_initial_window_pkts",
-                        fluid.startup_initial_window_pkts),
-      {"fluid.startup_full_bw_rounds",
-       [](const ExperimentSpec& s) {
-         return std::to_string(s.fluid.startup_full_bw_rounds);
-       },
-       [](ExperimentSpec& s, const std::string& v) {
-         s.fluid.startup_full_bw_rounds = decode_int(v);
-       }},
-  };
-  return kFields;
-}
+constexpr FieldCodec kFields[] = {
+    BBRM_FIELD("mix.label", out += s.mix.label, s.mix.label.assign(v)),
+    BBRM_FIELD("mix.flows", encode_flows(out, s.mix.flows),
+               decode_flows(v, s.mix.flows)),
+    BBRM_DOUBLE_FIELD("capacity_pps", capacity_pps),
+    BBRM_DOUBLE_FIELD("bottleneck_delay_s", bottleneck_delay_s),
+    BBRM_DOUBLE_FIELD("min_rtt_s", min_rtt_s),
+    BBRM_DOUBLE_FIELD("max_rtt_s", max_rtt_s),
+    BBRM_FIELD("flow_rtts_s", append_exact_numbers(out, s.flow_rtts_s),
+               s.flow_rtts_s = decode_doubles(v)),
+    BBRM_DOUBLE_FIELD("buffer_bdp", buffer_bdp),
+    BBRM_FIELD("discipline", out += encode_discipline(s.discipline),
+               s.discipline = decode_discipline(v)),
+    BBRM_DOUBLE_FIELD("duration_s", duration_s),
+    BBRM_FIELD("seed", append_u64(out, s.seed), s.seed = decode_u64(v)),
+    BBRM_DOUBLE_FIELD("fluid.step_s", fluid.step_s),
+    BBRM_DOUBLE_FIELD("fluid.record_interval_s", fluid.record_interval_s),
+    BBRM_DOUBLE_FIELD("fluid.k_time", fluid.k_time),
+    BBRM_DOUBLE_FIELD("fluid.k_rate", fluid.k_rate),
+    BBRM_DOUBLE_FIELD("fluid.k_vol", fluid.k_vol),
+    BBRM_DOUBLE_FIELD("fluid.k_prob", fluid.k_prob),
+    BBRM_DOUBLE_FIELD("fluid.droptail_exponent", fluid.droptail_exponent),
+    BBRM_DOUBLE_FIELD("fluid.loss_indicator_eps", fluid.loss_indicator_eps),
+    BBRM_BOOL_FIELD("fluid.literal_eq18", fluid.literal_eq18),
+    BBRM_BOOL_FIELD("fluid.loss_based_slow_start",
+                    fluid.loss_based_slow_start),
+    BBRM_BOOL_FIELD("fluid.per_rtt_loss_events", fluid.per_rtt_loss_events),
+    BBRM_BOOL_FIELD("fluid.literal_eq19", fluid.literal_eq19),
+    BBRM_DOUBLE_FIELD("fluid.probe_rtt_interval_s",
+                      fluid.probe_rtt_interval_s),
+    BBRM_DOUBLE_FIELD("fluid.probe_rtt_duration_s",
+                      fluid.probe_rtt_duration_s),
+    BBRM_DOUBLE_FIELD("fluid.bbr2_loss_thresh", fluid.bbr2_loss_thresh),
+    BBRM_DOUBLE_FIELD("fluid.bbr2_beta", fluid.bbr2_beta),
+    BBRM_DOUBLE_FIELD("fluid.bbr2_headroom", fluid.bbr2_headroom),
+    BBRM_DOUBLE_FIELD("fluid.inflight_hi_growth_pps",
+                      fluid.inflight_hi_growth_pps),
+    BBRM_DOUBLE_FIELD("fluid.mss_bytes", fluid.mss_bytes),
+    BBRM_DOUBLE_FIELD("fluid.max_rate_factor", fluid.max_rate_factor),
+    BBRM_BOOL_FIELD("fluid.model_startup", fluid.model_startup),
+    BBRM_DOUBLE_FIELD("fluid.startup_gain", fluid.startup_gain),
+    BBRM_DOUBLE_FIELD("fluid.startup_initial_window_pkts",
+                      fluid.startup_initial_window_pkts),
+    BBRM_FIELD("fluid.startup_full_bw_rounds",
+               out += std::to_string(s.fluid.startup_full_bw_rounds),
+               s.fluid.startup_full_bw_rounds = decode_int(v)),
+};
 
+#undef BBRM_FIELD
 #undef BBRM_DOUBLE_FIELD
 #undef BBRM_BOOL_FIELD
 
-constexpr const char* kVersionLine = "bbrm-spec=1";
+constexpr std::size_t kFieldCount = std::size(kFields);
+
+/// The table position of `key`; `guess` (the position after the previous
+/// field) answers canonically ordered input in one compare. kFieldCount
+/// when the key is unknown.
+std::size_t field_position(std::string_view key, std::size_t guess) {
+  if (guess < kFieldCount && kFields[guess].key == key) return guess;
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    if (kFields[i].key == key) return i;
+  }
+  return kFieldCount;
+}
+
+constexpr std::string_view kVersionLine = "bbrm-spec=1";
 
 }  // namespace
 
@@ -209,19 +189,24 @@ bool spec_cacheable(const ExperimentSpec& spec) {
   return !static_cast<bool>(spec.bbr_init);
 }
 
-std::string canonical_spec_string(const ExperimentSpec& spec) {
+void append_canonical_spec(std::string& out, const ExperimentSpec& spec) {
   BBRM_REQUIRE_MSG(spec_cacheable(spec),
                    "specs with a custom bbr_init have no canonical bytes");
   BBRM_REQUIRE_MSG(spec.mix.label.find('\n') == std::string::npos,
                    "mix labels must be single-line");
-  std::string out = kVersionLine;
+  out += kVersionLine;
   out += '\n';
-  for (const auto& field : field_codecs()) {
+  for (const FieldCodec& field : kFields) {
     out += field.key;
     out += '=';
-    out += field.get(spec);
+    field.encode(spec, out);
     out += '\n';
   }
+}
+
+std::string canonical_spec_string(const ExperimentSpec& spec) {
+  std::string out;
+  append_canonical_spec(out, spec);
   return out;
 }
 
@@ -229,40 +214,44 @@ std::string canonical_spec_hash(const ExperimentSpec& spec) {
   return hex64(fnv1a64(canonical_spec_string(spec)));
 }
 
-ExperimentSpec parse_canonical_spec(const std::string& bytes) {
-  std::map<std::string, const FieldCodec*> by_key;
-  for (const auto& field : field_codecs()) by_key[field.key] = &field;
-
+ExperimentSpec parse_canonical_spec(std::string_view bytes) {
   ExperimentSpec spec;
-  std::set<std::string> seen;
-  std::stringstream stream(bytes);
-  std::string line;
+  std::array<bool, kFieldCount> seen{};
+  std::size_t seen_count = 0;
+  std::size_t next = 0;
   bool version_seen = false;
-  while (std::getline(stream, line)) {
+  std::string_view rest = bytes;
+  while (const auto text = next_line(rest)) {
+    const std::string_view line = *text;
     if (line.empty()) continue;
     if (!version_seen) {
       BBRM_REQUIRE_MSG(line == kVersionLine,
                        "spec codec: expected '" + std::string(kVersionLine) +
-                           "', got '" + line + "'");
+                           "', got '" + std::string(line) + "'");
       version_seen = true;
       continue;
     }
     const auto eq = line.find('=');
-    BBRM_REQUIRE_MSG(eq != std::string::npos,
-                     "spec codec: malformed line '" + line + "'");
-    const std::string key = line.substr(0, eq);
-    const auto it = by_key.find(key);
-    BBRM_REQUIRE_MSG(it != by_key.end(),
-                     "spec codec: unknown field '" + key + "'");
-    BBRM_REQUIRE_MSG(seen.insert(key).second,
-                     "spec codec: duplicate field '" + key + "'");
-    it->second->set(spec, line.substr(eq + 1));
+    BBRM_REQUIRE_MSG(eq != std::string_view::npos,
+                     "spec codec: malformed line '" + std::string(line) +
+                         "'");
+    const std::string_view key = line.substr(0, eq);
+    const std::size_t id = field_position(key, next);
+    BBRM_REQUIRE_MSG(id < kFieldCount,
+                     "spec codec: unknown field '" + std::string(key) + "'");
+    BBRM_REQUIRE_MSG(!seen[id],
+                     "spec codec: duplicate field '" + std::string(key) +
+                         "'");
+    seen[id] = true;
+    ++seen_count;
+    next = id + 1;
+    kFields[id].decode(spec, line.substr(eq + 1));
   }
   BBRM_REQUIRE_MSG(version_seen, "spec codec: missing version line");
-  BBRM_REQUIRE_MSG(seen.size() == field_codecs().size(),
+  BBRM_REQUIRE_MSG(seen_count == kFieldCount,
                    "spec codec: missing fields (got " +
-                       std::to_string(seen.size()) + " of " +
-                       std::to_string(field_codecs().size()) + ")");
+                       std::to_string(seen_count) + " of " +
+                       std::to_string(kFieldCount) + ")");
   return spec;
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "scenario/scenario.h"
 
@@ -27,9 +28,13 @@ namespace bbrmodel::scenario {
 /// byte representation.
 std::string canonical_spec_string(const ExperimentSpec& spec);
 
-/// Inverse of canonical_spec_string. Throws PreconditionError on unknown
-/// keys, malformed lines, or missing fields.
-ExperimentSpec parse_canonical_spec(const std::string& bytes);
+/// canonical_spec_string, appended to `out` (plan serialization encodes
+/// thousands of specs through one buffer).
+void append_canonical_spec(std::string& out, const ExperimentSpec& spec);
+
+/// Inverse of canonical_spec_string. Throws PreconditionError on unknown,
+/// duplicate, or missing fields, malformed lines, and out-of-range values.
+ExperimentSpec parse_canonical_spec(std::string_view bytes);
 
 /// The fixed-width hex "spec key" of a spec: FNV-1a 64 over its canonical
 /// bytes. This is the content-address fragment shared by cache cell file

@@ -2,20 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/atomic_io.h"
-#include "common/csv.h"
-#include "common/hash.h"
+#include "common/number.h"
 #include "common/parse.h"
 #include "common/require.h"
 #include "scenario/spec_codec.h"
@@ -26,34 +20,10 @@ namespace {
 
 // One header + one row per cell file. Bumping the layout invalidates old
 // cells gracefully: a header mismatch reads as a miss, never as bad data.
-const char* kCellHeader =
+constexpr std::string_view kCellHeader =
     "jain,loss_pct,occupancy_pct,utilization_pct,jitter_ms,mean_rate_pps,aux";
 
 constexpr const char* kManifestName = "manifest.idx";
-
-std::string encode_vector(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += exact_number(values[i]);
-  }
-  return out;
-}
-
-/// nullopt on any malformed token — a damaged cell must read as a miss,
-/// not as a hit with an empty vector.
-std::optional<std::vector<double>> decode_vector(const std::string& text) {
-  std::vector<double> values;
-  std::stringstream stream(text);
-  std::string token;
-  while (stream >> token) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return std::nullopt;
-    values.push_back(v);
-  }
-  return values;
-}
 
 /// Manifest entries, keyed by cell key; duplicate appends collapse to the
 /// latest line. Malformed lines are skipped: the manifest is an index the
@@ -97,42 +67,55 @@ std::string manifest_bytes(
 }  // namespace
 
 std::string encode_cell_metrics(const metrics::AggregateMetrics& m) {
-  std::ostringstream out;
-  CsvWriter csv(out, {"jain", "loss_pct", "occupancy_pct", "utilization_pct",
-                      "jitter_ms", "mean_rate_pps", "aux"});
-  csv.write_row(std::vector<std::string>{
-      exact_number(m.jain), exact_number(m.loss_pct),
-      exact_number(m.occupancy_pct), exact_number(m.utilization_pct),
-      exact_number(m.jitter_ms), encode_vector(m.mean_rate_pps),
-      encode_vector(m.aux)});
-  return out.str();
+  // The exact bytes of a one-row CSV: no field can hold a comma, quote or
+  // newline, so none is ever quoted.
+  std::string out(kCellHeader);
+  out += '\n';
+  for (const double v : {m.jain, m.loss_pct, m.occupancy_pct,
+                         m.utilization_pct, m.jitter_ms}) {
+    append_exact_number(out, v);
+    out += ',';
+  }
+  append_exact_numbers(out, m.mean_rate_pps);
+  out += ',';
+  append_exact_numbers(out, m.aux);
+  out += '\n';
+  return out;
 }
 
 std::optional<metrics::AggregateMetrics> decode_cell_metrics(
-    const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string header, row;
-  if (!std::getline(in, header) || header != kCellHeader) return std::nullopt;
-  if (!std::getline(in, row)) return std::nullopt;
+    std::string_view bytes) {
+  // The header line, then one row of seven comma-separated cells; bytes
+  // after the row are ignored.
+  std::string_view rest = bytes;
+  const auto header = next_line(rest);
+  if (header != kCellHeader) return std::nullopt;
+  const auto row = next_line(rest);
+  if (!row || row->empty()) return std::nullopt;
 
-  std::vector<std::string> cells;
-  std::stringstream stream(row);
-  std::string cell;
-  while (std::getline(stream, cell, ',')) cells.push_back(cell);
-  // getline drops a trailing empty field (an empty aux vector).
-  if (!row.empty() && row.back() == ',') cells.emplace_back();
-  if (cells.size() != 7) return std::nullopt;
+  std::string_view cells[7];
+  std::size_t count = 0;
+  std::size_t pos = 0;
+  while (true) {
+    const auto comma = row->find(',', pos);
+    if (count == 7) return std::nullopt;
+    cells[count++] = row->substr(pos, comma - pos);
+    if (comma == std::string_view::npos) break;
+    pos = comma + 1;
+  }
+  if (count != 7) return std::nullopt;
 
   metrics::AggregateMetrics m;
   double* scalars[5] = {&m.jain, &m.loss_pct, &m.occupancy_pct,
                         &m.utilization_pct, &m.jitter_ms};
   for (std::size_t i = 0; i < 5; ++i) {
-    char* end = nullptr;
-    *scalars[i] = std::strtod(cells[i].c_str(), &end);
-    if (end == cells[i].c_str() || *end != '\0') return std::nullopt;
+    const auto v = decode_number(cells[i]);
+    if (!v) return std::nullopt;
+    *scalars[i] = *v;
   }
-  auto rates = decode_vector(cells[5]);
-  auto aux = decode_vector(cells[6]);
+  // A malformed token reads as a miss, never as a hit with a short vector.
+  auto rates = decode_numbers(cells[5]);
+  auto aux = decode_numbers(cells[6]);
   if (!rates || !aux) return std::nullopt;
   m.mean_rate_pps = std::move(*rates);
   m.aux = std::move(*aux);

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "metrics/aggregate.h"
 #include "sweep/parameter_grid.h"
@@ -121,6 +122,6 @@ std::string encode_cell_metrics(const metrics::AggregateMetrics& m);
 /// Inverse of encode_cell_metrics. nullopt on any damage or stale layout —
 /// a corrupt payload must read as absent, never as wrong data.
 std::optional<metrics::AggregateMetrics> decode_cell_metrics(
-    const std::string& bytes);
+    std::string_view bytes);
 
 }  // namespace bbrmodel::sweep

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/number.h"
 #include "common/require.h"
 #include "common/units.h"
 #include "scenario/spec_codec.h"
@@ -144,6 +145,19 @@ TEST(SpecCodec, RejectsMalformedInput) {
   EXPECT_THROW(
       scenario::parse_canonical_spec(bytes.substr(0, bytes.size() / 2)),
       PreconditionError);
+  // Integer fields reject values that would truncate or wrap.
+  const auto with_value = [&](const std::string& key,
+                              const std::string& value) {
+    std::string edited = bytes;
+    const auto at = edited.find("\n" + key + "=") + key.size() + 2;
+    edited.replace(at, edited.find('\n', at) - at, value);
+    return edited;
+  };
+  EXPECT_THROW(scenario::parse_canonical_spec(with_value(
+                   "fluid.startup_full_bw_rounds", "99999999999")),
+               PreconditionError);
+  EXPECT_THROW(scenario::parse_canonical_spec(with_value("seed", "-1")),
+               PreconditionError);
 }
 
 TEST(SpecCodec, CustomBbrInitIsUncacheable) {

@@ -1,12 +1,20 @@
 // Unit tests for src/common: statistics, tables, CSV, units, RNG, checks.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/json.h"
+#include "common/number.h"
 #include "common/parse.h"
 #include "common/require.h"
 #include "common/rng.h"
@@ -294,6 +302,160 @@ TEST(TryParseDouble, FullStringSemantics) {
   EXPECT_FALSE(try_parse_double("1.5s").has_value())
       << "trailing bytes must reject";
   EXPECT_FALSE(try_parse_double("abc").has_value());
+}
+
+// ---- number codec -------------------------------------------------------
+
+std::string printf_number(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// Seeded corpus: random bit patterns (every exponent, subnormals, NaN
+/// payloads, infinities), decimal-looking values across magnitudes, and
+/// the edge values where "%g" switches notation or rounding carries.
+std::vector<double> number_corpus() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+      DBL_MIN - DBL_TRUE_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON, 1.0, -1.0,
+      0.1, 1.0 / 3.0, 3.141592653589793, 1e-5, std::nextafter(1e-5, 0.0),
+      std::nextafter(1e-5, 1.0), 1e-4, std::nextafter(1e-4, 0.0),
+      9.99995e-5, 1e10, 9999999999.5, std::nextafter(1e10, 0.0), 1e16,
+      1e17, std::nextafter(1e17, 0.0), 99999999999999999.0, 1e21,
+      std::nextafter(1e21, 0.0), 1e22, 123456789012345678.0, 0.5, 2.5,
+      std::nan(""), -std::nan(""), inf, -inf};
+  std::mt19937_64 rng(20221025);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-310, 310);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(unit(rng) * std::pow(10.0, exponent(rng)));
+  }
+  return values;
+}
+
+TEST(NumberCodec, RenderingsMatchPrintfByteForByte) {
+  std::size_t finite = 0;
+  for (const double v : number_corpus()) {
+    const std::string short_printf = printf_number("%.10g", v);
+    std::string short_codec;
+    append_short_number(short_codec, v);
+    ASSERT_EQ(short_codec, short_printf) << "bits " << bits_of(v);
+    if (!std::isfinite(v)) continue;
+    ++finite;
+    ASSERT_EQ(exact_number(v), printf_number("%.17g", v))
+        << "bits " << bits_of(v);
+    ASSERT_EQ(json_number(v), short_printf) << "bits " << bits_of(v);
+    ASSERT_EQ(csv_number(v), short_printf) << "bits " << bits_of(v);
+  }
+  EXPECT_GT(finite, 190000u);
+  // Non-finite values keep their fixed spellings.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(exact_number(std::nan("")), "nan");
+  EXPECT_EQ(exact_number(-std::nan("")), "nan");
+  EXPECT_EQ(exact_number(inf), "inf");
+  EXPECT_EQ(exact_number(-inf), "-inf");
+  EXPECT_EQ(json_number(-inf), "null");
+  EXPECT_EQ(csv_number(std::nan("")), "");
+  std::string u;
+  append_u64(u, 0);
+  u += ' ';
+  append_u64(u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(u, "0 18446744073709551615");
+}
+
+TEST(NumberCodec, CsvDoubleRowsMatchStreamPrecision10) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> row = {0.0,   -0.0, 1e-5, 1234567890123.0,
+                                   1.0 / 3.0, std::nan(""), -inf, DBL_MAX};
+  std::ostringstream expected;
+  expected.precision(10);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (i != 0) expected << ',';
+    expected << row[i];
+  }
+  expected << '\n';
+  std::ostringstream out;
+  CsvWriter csv(out, std::vector<std::string>(row.size(), "c"));
+  csv.write_row(row);
+  const std::string header = "c,c,c,c,c,c,c,c\n";
+  EXPECT_EQ(out.str(), header + expected.str());
+}
+
+/// The strtod verdict the spec and metrics codecs used to compute inline.
+std::optional<double> strtod_verdict(const std::string& token) {
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end == token.c_str() || *end != '\0') return std::nullopt;
+  return v;
+}
+
+void expect_same_verdict(const std::string& token) {
+  const auto expected = strtod_verdict(token);
+  const auto actual = decode_number(token);
+  ASSERT_EQ(actual.has_value(), expected.has_value()) << "'" << token << "'";
+  if (expected) {
+    ASSERT_EQ(bits_of(*actual), bits_of(*expected)) << "'" << token << "'";
+  }
+}
+
+TEST(NumberCodec, DecodeMatchesStrtodBitForBit) {
+  for (const double v : number_corpus()) {
+    for (const char* format : {"%.17g", "%.10g", "%.3e", "%.25g", "%a"}) {
+      expect_same_verdict(printf_number(format, v));
+    }
+  }
+  // strtod's wider grammar and its rejections, token by token.
+  for (const std::string token :
+       {"", " 1", "\t-2.5", "+1", "+.5", ".5", "5.", "-", "+", ".", "e5",
+        "1e", "1e+", "1.5s", "1 ", "1,5", "abc", "0x1p-1074", "0X1.8P+1",
+        "1e400", "-1e400", "1e-400", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "4.9406564584124654e-324",
+        "1.7976931348623158e308", "1.7976931348623159e308", "nan", "-nan",
+        "NaN", "nan(123)", "nan(0x7)", "inf", "-inf", "INF", "infinity",
+        "-Infinity", "infin", "00001.25", "-0", "0e0",
+        "123456789012345678901234567890",
+        "0.100000000000000005551115123125782702118158340454101562"}) {
+    expect_same_verdict(token);
+  }
+  // Lists split on any run of blanks, as `istream >> token` did.
+  for (const std::string text :
+       {"", "  ", "1 2\t3\n4", " 1e-5  -inf nan\r", "0.5\v\f2", "1 x 2",
+        "1,2", "3 4 "}) {
+    std::istringstream in(text);
+    std::vector<double> expected;
+    bool ok = true;
+    std::string token;
+    while (in >> token) {
+      const auto v = strtod_verdict(token);
+      if (!v) ok = false;
+      if (v) expected.push_back(*v);
+    }
+    const auto actual = decode_numbers(text);
+    ASSERT_EQ(actual.has_value(), ok) << "'" << text << "'";
+    if (!ok) continue;
+    ASSERT_EQ(actual->size(), expected.size()) << "'" << text << "'";
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(bits_of((*actual)[i]), bits_of(expected[i]));
+    }
+  }
+  // An embedded NUL ends the token, as it did for strtod on c_str().
+  expect_same_verdict(std::string("1.5\0junk", 8));
+  EXPECT_EQ(decode_number(std::string("1.5\0junk", 8)),
+            std::optional<double>(1.5));
 }
 
 }  // namespace

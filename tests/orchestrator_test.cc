@@ -22,6 +22,7 @@
 
 #include "adaptive/policy.h"
 #include "adaptive/refiner.h"
+#include "common/hash.h"
 #include "common/require.h"
 #include "common/units.h"
 #include "orchestrator/execution_plan.h"
@@ -152,6 +153,29 @@ TEST(ExecutionPlan, ParseRejectsMalformedDocuments) {
                PreconditionError);
   EXPECT_THROW(ExecutionPlan::parse(bytes + "trailing junk\n"),
                PreconditionError);
+  // Length lies are precondition failures, never a huge allocation.
+  const auto lie = [&](const std::string& field, const std::string& value) {
+    std::string damaged = bytes;
+    const auto at = damaged.find("\n" + field + "=") + field.size() + 2;
+    damaged.replace(at, damaged.find('\n', at) - at, value);
+    return damaged;
+  };
+  EXPECT_THROW(ExecutionPlan::parse(lie("spec-bytes", "99999999999999")),
+               PreconditionError);
+  EXPECT_THROW(ExecutionPlan::parse(lie("cells", "999999999999999")),
+               PreconditionError);
+}
+
+TEST(ExecutionPlan, SerializedBytesArePinned) {
+  // Plan bytes feed the cell cache keys (canonical spec bytes) and the
+  // queue's resume byte-compare, so any codec change that moves a byte
+  // must fail here. The constants are the bytes of the stream-based
+  // codec this format was first written with.
+  const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
+  const std::string bytes = plan.serialize();
+  EXPECT_EQ(bytes.size(), 11950u);
+  EXPECT_EQ(fnv1a64(bytes), 0x5384ffa0038af5ffULL);
+  EXPECT_EQ(ExecutionPlan::parse(bytes).serialize(), bytes);
 }
 
 TEST(ExecutionPlan, AdHocTasksRequireIncreasingIndices) {

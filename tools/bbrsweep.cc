@@ -704,7 +704,7 @@ int run_merge(int argc, char** argv) {
       plan_bytes.erase(0, eol == std::string::npos ? plan_bytes.size()
                                                    : eol + 1);
     }
-    plan = orchestrator::ExecutionPlan::parse(std::move(plan_bytes));
+    plan = orchestrator::ExecutionPlan::parse(plan_bytes);
     context.expected_cells = plan->size();
     context.describe = [&plan](std::size_t index) {
       return plan->describe_cell(index);
@@ -1055,6 +1055,13 @@ int run_worker_cmd(int argc, char** argv) {
             .value_or(skew_margin_s);
   }
   orchestrator::WorkQueue queue(*queue_dir, lease_s, skew_margin_s);
+  const std::string id =
+      worker_id ? *worker_id : orchestrator::default_worker_id();
+  obs::set_log_tag(id);
+  // Each worker writes its own shard next to its stats file; `bbrsweep
+  // trace` merges the shards into one fleet timeline afterwards. Tracing
+  // starts before the plan load so start-up shows as its plan-load span.
+  if (trace) enable_queue_trace(queue.dir(), id);
   const auto plan = queue.load_plan();
 
   std::unique_ptr<sweep::CellCache> cache;
@@ -1062,18 +1069,12 @@ int run_worker_cmd(int argc, char** argv) {
     cache = std::make_unique<sweep::CellCache>(*cache_dir);
     run.cache = cache.get();
   }
-  const std::string id =
-      worker_id ? *worker_id : orchestrator::default_worker_id();
-  obs::set_log_tag(id);
   if (!quiet) {
     obs::log(obs::LogLevel::kInfo,
              "worker %s draining %zu-cell plan from %s (runner %s)",
              id.c_str(), plan.size(), queue.dir().c_str(),
              plan.runner_name().c_str());
   }
-  // Each worker writes its own shard next to its stats file; `bbrsweep
-  // trace` merges the shards into one fleet timeline afterwards.
-  if (trace) enable_queue_trace(queue.dir(), id);
   orchestrator::WorkerConfig config;
   config.worker_id = id;
   config.max_cells = max_cells;
