@@ -242,19 +242,18 @@ void RefinementPlan::write_csv(std::ostream& out) const {
   CsvWriter csv(out, csv_header());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const RefinedCell& c = cells[i];
-    csv.write_row(std::vector<std::string>{
-        csv_number(static_cast<double>(i)),
-        sweep::to_string(c.backend),
-        net::to_string(c.discipline),
-        c.mix_label,
-        csv_number(static_cast<double>(c.flows)),
-        csv_number(c.buffer_bdp),
-        csv_number(c.rtt.min_s),
-        csv_number(c.rtt.max_s),
-        sweep::to_string(c.rtt.dist),
-        csv_number(static_cast<double>(c.depth)),
-        csv_number(c.score),
-    });
+    csv.number(static_cast<double>(i))
+        .field(sweep::to_string(c.backend))
+        .field(net::to_string(c.discipline))
+        .field(c.mix_label)
+        .number(static_cast<double>(c.flows))
+        .number(c.buffer_bdp)
+        .number(c.rtt.min_s)
+        .number(c.rtt.max_s)
+        .field(sweep::to_string(c.rtt.dist))
+        .number(static_cast<double>(c.depth))
+        .number(c.score)
+        .end_row();
   }
 }
 

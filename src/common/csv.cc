@@ -7,8 +7,8 @@ namespace bbrmodel {
 namespace {
 
 /// csv_escape, appended to `out` without the temporary.
-void append_csv_field(std::string& out, const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) {
+void append_csv_field(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\n") == std::string_view::npos) {
     out += field;
     return;
   }
@@ -34,25 +34,47 @@ CsvWriter::CsvWriter(std::ostream& out, const std::vector<std::string>& header)
 
 void CsvWriter::write_row(const std::vector<double>& values) {
   BBRM_REQUIRE(values.size() == width_);
-  std::string line;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) line += ',';
-    append_short_number(line, values[i]);
+  for (const double v : values) {
+    next_cell();
+    append_short_number(line_, v);
   }
-  line += '\n';
-  out_ << line;
-  ++rows_;
+  end_row();
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  BBRM_REQUIRE(cells.size() == width_);
-  std::string line;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) line += ',';
-    append_csv_field(line, cells[i]);
+void CsvWriter::next_cell() {
+  if (cells_++ != 0) line_ += ',';
+}
+
+CsvWriter& CsvWriter::field(std::string_view text) {
+  next_cell();
+  append_csv_field(line_, text);
+  return *this;
+}
+
+CsvWriter& CsvWriter::number(double v) {
+  next_cell();
+  append_csv_number(line_, v);
+  return *this;
+}
+
+CsvWriter& CsvWriter::integer(std::uint64_t v) {
+  next_cell();
+  append_u64(line_, v);
+  return *this;
+}
+
+void CsvWriter::end_row() {
+  const std::size_t cells = cells_;
+  cells_ = 0;
+  if (cells != width_) {
+    line_.clear();
+    BBRM_REQUIRE_MSG(false, "CSV row has " + std::to_string(cells) +
+                                " cells, the header " +
+                                std::to_string(width_));
   }
-  line += '\n';
-  out_ << line;
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  line_.clear();
   ++rows_;
 }
 

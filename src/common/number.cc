@@ -57,12 +57,15 @@ std::string json_number(double v) {
 }
 
 std::string csv_number(double v) {
+  std::string out;
+  append_csv_number(out, v);
+  return out;
+}
+
+void append_csv_number(std::string& out, double v) {
   // Same rendering as JSON numbers, so the CSV and JSON serializations of
   // one result can never drift apart; CSV leaves non-finite cells empty.
-  if (!std::isfinite(v)) return "";
-  std::string out;
-  append_short_number(out, v);
-  return out;
+  if (std::isfinite(v)) append_short_number(out, v);
 }
 
 void append_u64(std::string& out, std::uint64_t v) {

@@ -51,6 +51,8 @@ std::string json_number(double v);
 /// numbers through this so identical results serialize to identical bytes
 /// regardless of thread count or platform locale.
 std::string csv_number(double v);
+/// csv_number, appended to `out` without the temporary.
+void append_csv_number(std::string& out, double v);
 
 /// Append `v` in base 10 (std::to_string's bytes, without the temporary).
 void append_u64(std::string& out, std::uint64_t v);

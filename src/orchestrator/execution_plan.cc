@@ -1,6 +1,8 @@
 #include "orchestrator/execution_plan.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -81,6 +83,30 @@ ExecutionPlan::Header read_header(PlanReader& in) {
 
 }  // namespace
 
+/// The document a plan was parsed from, kept for the specs it has not
+/// decoded yet. It is never moved once the views point into it.
+struct ExecutionPlan::Undecoded {
+  std::string document;
+  std::vector<std::string_view> specs;  ///< per cell, into `document`
+  std::unique_ptr<std::atomic<bool>[]> ready;  ///< per cell: spec decoded
+  std::atomic<bool> all_ready{false};
+  std::mutex mutex;  ///< held while a spec decodes
+};
+
+ExecutionPlan::ExecutionPlan() = default;
+ExecutionPlan::~ExecutionPlan() = default;
+ExecutionPlan::ExecutionPlan(ExecutionPlan&& other) noexcept = default;
+ExecutionPlan& ExecutionPlan::operator=(ExecutionPlan&& other) noexcept =
+    default;
+
+ExecutionPlan::ExecutionPlan(const ExecutionPlan& other)
+    : cells_(other.cells()), runner_name_(other.runner_name_) {}
+
+ExecutionPlan& ExecutionPlan::operator=(const ExecutionPlan& other) {
+  if (this != &other) *this = ExecutionPlan(other);
+  return *this;
+}
+
 ExecutionPlan::ExecutionPlan(std::vector<sweep::SweepTask> cells,
                              std::string runner_name)
     : cells_(std::move(cells)), runner_name_(std::move(runner_name)) {
@@ -89,6 +115,33 @@ ExecutionPlan::ExecutionPlan(std::vector<sweep::SweepTask> cells,
                      "execution plan cells must have strictly increasing "
                      "task indices");
   }
+}
+
+const sweep::SweepTask& ExecutionPlan::decoded(std::size_t position) const {
+  sweep::SweepTask& task = cells_[position];
+  if (undecoded_ == nullptr) return task;
+  Undecoded& lazy = *undecoded_;
+  if (lazy.ready[position].load(std::memory_order_acquire)) return task;
+  std::lock_guard<std::mutex> lock(lazy.mutex);
+  if (!lazy.ready[position].load(std::memory_order_relaxed)) {
+    try {
+      task.spec = scenario::parse_canonical_spec(lazy.specs[position]);
+    } catch (const PreconditionError& e) {
+      throw PreconditionError("execution plan: malformed spec of cell " +
+                              std::to_string(task.index) + ": " + e.what());
+    }
+    lazy.ready[position].store(true, std::memory_order_release);
+  }
+  return task;
+}
+
+const std::vector<sweep::SweepTask>& ExecutionPlan::cells() const {
+  if (undecoded_ != nullptr &&
+      !undecoded_->all_ready.load(std::memory_order_acquire)) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) decoded(i);
+    undecoded_->all_ready.store(true, std::memory_order_release);
+  }
+  return cells_;
 }
 
 ExecutionPlan ExecutionPlan::dense(const sweep::ParameterGrid& grid,
@@ -128,7 +181,7 @@ ExecutionPlan ExecutionPlan::from_tasks(std::vector<sweep::SweepTask> tasks,
 
 const sweep::SweepTask& ExecutionPlan::cell(std::size_t position) const {
   BBRM_REQUIRE(position < cells_.size());
-  return cells_[position];
+  return decoded(position);
 }
 
 const sweep::SweepTask& ExecutionPlan::cell_by_index(
@@ -139,7 +192,7 @@ const sweep::SweepTask& ExecutionPlan::cell_by_index(
   BBRM_REQUIRE_MSG(it != cells_.end() && it->index == task_index,
                    "execution plan has no cell with task index " +
                        std::to_string(task_index));
-  return *it;
+  return decoded(static_cast<std::size_t>(it - cells_.begin()));
 }
 
 std::string ExecutionPlan::describe_cell(std::size_t task_index) const {
@@ -156,6 +209,7 @@ std::string ExecutionPlan::describe_cell(std::size_t task_index) const {
 }
 
 std::string ExecutionPlan::serialize() const {
+  cells();  // decode whatever is still undecoded
   std::string out(kVersionLine);
   out += "\nrunner=";
   out += runner_name_;
@@ -186,8 +240,10 @@ std::string ExecutionPlan::serialize() const {
   return out;
 }
 
-ExecutionPlan ExecutionPlan::parse(std::string_view bytes) {
-  PlanReader in(bytes);
+ExecutionPlan ExecutionPlan::parse(std::string bytes) {
+  auto lazy = std::make_unique<Undecoded>();
+  lazy->document = std::move(bytes);
+  PlanReader in(lazy->document);
   Header header = read_header(in);
   // Every cell takes more than one byte, so a count beyond the bytes left
   // is a length lie: reject it before reserving for it.
@@ -196,10 +252,13 @@ ExecutionPlan ExecutionPlan::parse(std::string_view bytes) {
                        " cells cannot fit in the " +
                        std::to_string(in.rest().size()) + " bytes left");
 
+  // Framing only: each spec body is kept as a view and decoded on first
+  // access (see decoded()).
   std::vector<sweep::SweepTask> cells;
   cells.reserve(header.cells);
+  lazy->specs.reserve(header.cells);
   for (std::size_t i = 0; i < header.cells; ++i) {
-    sweep::SweepTask task;
+    sweep::SweepTask& task = cells.emplace_back();
     task.index = in.size_field("cell", "cell index");
     task.backend = parse_backend_name(in.field("backend"));
     task.mix_label = in.field("mix");
@@ -208,13 +267,15 @@ ExecutionPlan ExecutionPlan::parse(std::string_view bytes) {
     BBRM_REQUIRE_MSG(spec.has_value(),
                      "execution plan: truncated spec bytes of cell " +
                          std::to_string(task.index));
-    task.spec = scenario::parse_canonical_spec(*spec);
-    cells.push_back(std::move(task));
+    lazy->specs.push_back(*spec);
   }
   const auto line = in.line();
   BBRM_REQUIRE_MSG(!line || line->empty(),
                    "execution plan: trailing bytes after the last cell");
-  return ExecutionPlan(std::move(cells), std::move(header.runner));
+  ExecutionPlan plan(std::move(cells), std::move(header.runner));
+  lazy->ready = std::make_unique<std::atomic<bool>[]>(plan.size());
+  plan.undecoded_ = std::move(lazy);
+  return plan;
 }
 
 ExecutionPlan::Header ExecutionPlan::peek_header(std::string_view bytes) {

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +43,14 @@ namespace bbrmodel::orchestrator {
 /// it), which is what makes it shippable to worker processes.
 class ExecutionPlan {
  public:
-  ExecutionPlan() = default;
+  ExecutionPlan();
+  ~ExecutionPlan();
+  /// A copy decodes every spec of `other` first; moves keep what is
+  /// still undecoded.
+  ExecutionPlan(const ExecutionPlan& other);
+  ExecutionPlan& operator=(const ExecutionPlan& other);
+  ExecutionPlan(ExecutionPlan&& other) noexcept;
+  ExecutionPlan& operator=(ExecutionPlan&& other) noexcept;
 
   /// Dense expansion of a grid: cells in grid order, seeds derived from
   /// (base_seed, index) per the engine contract. `runner_name` is what a
@@ -79,7 +87,9 @@ class ExecutionPlan {
   static ExecutionPlan from_tasks(std::vector<sweep::SweepTask> tasks,
                                   std::string runner_name = "");
 
-  const std::vector<sweep::SweepTask>& cells() const { return cells_; }
+  /// Every cell, each spec decoded: on a parsed plan the first call
+  /// decodes whatever no earlier access has.
+  const std::vector<sweep::SweepTask>& cells() const;
   std::size_t size() const { return cells_.size(); }
   bool empty() const { return cells_.empty(); }
 
@@ -104,10 +114,19 @@ class ExecutionPlan {
   /// byte compare. Requires cacheable specs.
   std::string serialize() const;
 
-  /// Inverse of serialize(). Throws PreconditionError on malformed input.
-  /// Length fields are bounded by the bytes that remain, so a lying count
-  /// or spec size is a PreconditionError, never a huge allocation.
-  static ExecutionPlan parse(std::string_view bytes);
+  /// Inverse of serialize(). The plan keeps `bytes` (moved in, not
+  /// copied) and checks all of its framing here: the version line, the
+  /// header, each cell's index/backend/mix/spec-bytes lines, increasing
+  /// indices and trailing bytes, each a PreconditionError. Length fields
+  /// are bounded by the bytes that remain, so a lying count or spec size
+  /// is a PreconditionError, never a huge allocation.
+  ///
+  /// A cell's canonical spec is decoded on its first access — cell,
+  /// cell_by_index, cells, describe_cell or serialize — once per cell,
+  /// even when threads race for it. So a worker decodes only the cells it
+  /// claims, and a malformed spec body surfaces at that first access as a
+  /// PreconditionError naming the cell, not here.
+  static ExecutionPlan parse(std::string bytes);
 
   /// The header fields of a serialized plan, parsed from its first lines
   /// alone — a million-cell plan's size and runner cost three getlines,
@@ -124,8 +143,15 @@ class ExecutionPlan {
  private:
   ExecutionPlan(std::vector<sweep::SweepTask> cells, std::string runner_name);
 
-  std::vector<sweep::SweepTask> cells_;
+  /// parse()'s document and each cell's decode state (execution_plan.cc).
+  struct Undecoded;
+  /// The cell at `position` with its spec decoded.
+  const sweep::SweepTask& decoded(std::size_t position) const;
+
+  /// Parsed cells hold a default spec until decoded() fills it in.
+  mutable std::vector<sweep::SweepTask> cells_;
   std::string runner_name_;
+  std::unique_ptr<Undecoded> undecoded_;  ///< null: every spec decoded
 };
 
 /// The single execution path from a plan to a result: apply

@@ -241,9 +241,9 @@ constexpr std::uint32_t kLogMagic = 0x32515242u;  // "BQR2"
 constexpr std::size_t kLogHeaderBytes = 24;
 constexpr std::uint32_t kMaxLogField = 16u << 20;
 /// Rewrite the publish checkpoint after this many unflushed records (and
-/// at every claim-unit boundary): the checkpoint is an accelerator for
-/// O(1) status, so the only cost of staleness is a slightly longer tail
-/// scan, never a wrong count.
+/// when the WorkQueue is destroyed): the checkpoint is an accelerator for
+/// O(1) status, so the only cost of staleness is a tail scan of at most
+/// this many records per log, never a wrong count.
 constexpr std::uint64_t kCheckpointEvery = 256;
 
 void put_u32(std::string& out, std::uint32_t v) {
@@ -422,7 +422,7 @@ std::string encode_result_file(const sweep::TaskResult& result) {
 /// Parse a per-cell result file back into a TaskResult. nullopt when the
 /// file is absent or damaged.
 std::optional<sweep::TaskResult> load_result_file(
-    const std::string& path, const sweep::SweepTask& task) {
+    const std::string& path, const sweep::SweepTask& task, bool row_only) {
   const auto bytes = read_text_file(path);
   if (!bytes) return std::nullopt;
   std::string_view rest = *bytes;
@@ -430,7 +430,7 @@ std::optional<sweep::TaskResult> load_result_file(
   if (!status || status->substr(0, 7) != "status=") return std::nullopt;
   const auto error = next_line(rest);
   if (!error || error->substr(0, 6) != "error=") return std::nullopt;
-  auto metrics = sweep::decode_cell_metrics(rest);
+  auto metrics = sweep::decode_cell_metrics(rest, row_only);
   if (!metrics) return std::nullopt;
 
   sweep::TaskResult result;
@@ -934,10 +934,11 @@ std::optional<double> WorkQueue::stored_skew_margin_s(
 ExecutionPlan WorkQueue::load_plan() const {
   BBRM_REQUIRE_MSG(has_plan(), "queue " + dir_ + " has no plan yet");
   obs::Span span("plan-load", "queue");
-  const std::string bytes = read_text_file(plan_path()).value_or("");
-  std::string_view document = bytes;
-  if (has_layout_stamp(document)) document.remove_prefix(kLayoutStamp.size());
-  ExecutionPlan plan = ExecutionPlan::parse(document);
+  std::string bytes = read_text_file(plan_path()).value_or("");
+  if (has_layout_stamp(bytes)) bytes.erase(0, kLayoutStamp.size());
+  // The plan keeps the document and decodes each spec on first use, so a
+  // worker pays only for the cells it claims.
+  ExecutionPlan plan = ExecutionPlan::parse(std::move(bytes));
   span.arg("cells", static_cast<std::uint64_t>(plan.size()));
   return plan;
 }
@@ -1163,7 +1164,6 @@ void WorkQueue::publish(const sweep::TaskResult& result,
 void WorkQueue::complete(const sweep::TaskResult& result,
                          const std::string& worker_id) const {
   publish(result, worker_id);
-  if (layout() == QueueLayout::kSegment) flush_published();
   // Release the claim. ENOENT is fine: an expired lease may already have
   // been re-enqueued or reclaimed — the published bytes are identical
   // either way, so the race is benign.
@@ -1172,10 +1172,10 @@ void WorkQueue::complete(const sweep::TaskResult& result,
 }
 
 void WorkQueue::finish(const Claim& claim) const {
-  // Claim-unit boundary: bring the publish checkpoints current before the
-  // manifest disappears, so the cheap counters path stays one short tail
-  // scan per log.
-  if (layout() == QueueLayout::kSegment) flush_published();
+  // No checkpoint rewrite here: publish() rewrites it every
+  // kCheckpointEvery records and the destructor at exit, and readers
+  // tail-scan past it, so counters stay exact without a durable write per
+  // claim.
   std::error_code ec;
   fs::remove((fs::path(active_dir()) / claim.active_name).string(), ec);
 }
@@ -1477,15 +1477,15 @@ std::optional<bool> WorkQueue::result_ok(std::size_t index) const {
 }
 
 std::optional<sweep::TaskResult> WorkQueue::load_result(
-    const sweep::SweepTask& task) const {
+    const sweep::SweepTask& task, bool row_only) const {
   if (layout() == QueueLayout::kPerCell) {
-    return load_result_file(result_path(task.index), task);
+    return load_result_file(result_path(task.index), task, row_only);
   }
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
     const ResultLoc* loc = find_result_locked(task.index);
     if (loc != nullptr) {
-      // One pread of one record through the cached handle — streaming
+      // One positioned read of one record into a reused buffer — streaming
       // collects hold a single record in memory, never a segment's worth
       // of decoded results.
       LogState& log = logs_[loc->log];
@@ -1493,41 +1493,29 @@ std::optional<sweep::TaskResult> WorkQueue::load_result(
         log.read = std::fopen(
             (fs::path(results_dir()) / log.name).string().c_str(), "rb");
       }
-      std::string record(kLogHeaderBytes, '\0');
+      record_buffer_.resize(loc->bytes);
       if (log.read != nullptr &&
-          std::fseek(log.read, static_cast<long>(loc->offset), SEEK_SET) ==
-              0 &&
-          std::fread(record.data(), 1, kLogHeaderBytes, log.read) ==
-              kLogHeaderBytes &&
-          get_u32(record.data()) == kLogMagic) {
-        const std::uint32_t error_len = get_u32(record.data() + 4);
-        const std::uint32_t payload_len = get_u32(record.data() + 8);
-        if (error_len <= kMaxLogField && payload_len <= kMaxLogField) {
-          const std::size_t body =
-              static_cast<std::size_t>(error_len) + payload_len + 8;
-          record.resize(kLogHeaderBytes + body);
-          if (std::fread(record.data() + kLogHeaderBytes, 1, body,
-                         log.read) == body) {
-            if (const auto decoded =
-                    decode_log_record(record.data(), record.size())) {
-              auto metrics =
-                  sweep::decode_cell_metrics(decoded->first.payload);
-              if (metrics) {
-                sweep::TaskResult result;
-                result.task = task;
-                result.metrics = std::move(*metrics);
-                result.ok = decoded->first.ok;
-                result.error = decoded->first.error;
-                return result;
-              }
-            }
+          ::pread(::fileno(log.read), record_buffer_.data(), loc->bytes,
+                  static_cast<off_t>(loc->offset)) ==
+              static_cast<ssize_t>(loc->bytes)) {
+        if (const auto decoded = decode_log_record(record_buffer_.data(),
+                                                   record_buffer_.size())) {
+          auto metrics =
+              sweep::decode_cell_metrics(decoded->first.payload, row_only);
+          if (metrics) {
+            sweep::TaskResult result;
+            result.task = task;
+            result.metrics = std::move(*metrics);
+            result.ok = decoded->first.ok;
+            result.error = decoded->first.error;
+            return result;
           }
         }
       }
       return std::nullopt;  // indexed but unreadable: damage stays loud
     }
   }
-  return load_result_file(failed_path(task.index), task);
+  return load_result_file(failed_path(task.index), task, row_only);
 }
 
 void WorkQueue::refresh_result_index_locked() const {
@@ -1582,6 +1570,7 @@ void WorkQueue::refresh_result_index_locked() const {
         loc.log = id;
         loc.ok = record->first.ok ? 1 : 0;
         loc.offset = log.consumed + off;
+        loc.bytes = static_cast<std::uint32_t>(record->second);
         result_index_.emplace(record->first.index, loc);  // first wins
         off += record->second;
       }
@@ -2163,33 +2152,49 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
   return {completed.load(), failed.load()};
 }
 
-namespace {
-
-/// Walk the plan in index order, loading one result at a time.
-std::size_t for_each_result(
-    const WorkQueue& queue, const ExecutionPlan& plan,
-    const std::function<void(const sweep::TaskResult&)>& visit) {
-  std::size_t failed = 0;
-  for (const auto& cell : plan.cells()) {
-    auto result = queue.load_result(cell);
-    BBRM_REQUIRE_MSG(result.has_value(),
-                     "queue " + queue.dir() + " has no result for cell " +
-                         std::to_string(cell.index) + " (" +
-                         plan.describe_cell(cell.index) + ")");
-    if (!result->ok) ++failed;
-    if (visit) visit(*result);
-  }
-  return failed;
+ResultCollector::ResultCollector(const WorkQueue& queue,
+                                 const ExecutionPlan& plan, std::ostream& csv)
+    : queue_(queue), plan_(plan) {
+  csv_.emplace(csv, sweep::SweepResult::csv_header());
 }
 
-}  // namespace
+ResultCollector::ResultCollector(const WorkQueue& queue,
+                                 const ExecutionPlan& plan, JsonWriter& rows)
+    : queue_(queue), plan_(plan), json_(&rows) {}
+
+bool ResultCollector::write_next(bool all) {
+  const sweep::SweepTask& cell = plan_.cell(next_);
+  const auto result = queue_.load_result(cell, /*row_only=*/true);
+  if (!all && (!result || !result->ok)) return false;
+  BBRM_REQUIRE_MSG(result.has_value(),
+                   "queue " + queue_.dir() + " has no result for cell " +
+                       std::to_string(cell.index) + " (" +
+                       plan_.describe_cell(cell.index) + ")");
+  if (!result->ok) ++failed_;
+  if (csv_) {
+    sweep::write_result_csv_row(*csv_, *result);
+  } else {
+    sweep::write_result_json_row(*json_, *result);
+  }
+  ++next_;
+  return true;
+}
+
+std::size_t ResultCollector::advance() {
+  const std::size_t start = next_;
+  while (next_ < plan_.size() && write_next(/*all=*/false)) {
+  }
+  return next_ - start;
+}
+
+std::size_t ResultCollector::finish() {
+  while (next_ < plan_.size()) write_next(/*all=*/true);
+  return failed_;
+}
 
 std::size_t collect_csv(const WorkQueue& queue, const ExecutionPlan& plan,
                         std::ostream& out) {
-  CsvWriter csv(out, sweep::SweepResult::csv_header());
-  return for_each_result(queue, plan, [&](const sweep::TaskResult& r) {
-    sweep::write_result_csv_row(csv, r);
-  });
+  return ResultCollector(queue, plan, out).finish();
 }
 
 std::size_t collect_json(const WorkQueue& queue, const ExecutionPlan& plan,
@@ -2206,9 +2211,7 @@ std::size_t collect_json(const WorkQueue& queue, const ExecutionPlan& plan,
     if (!*ok) ++failed;
   }
   sweep::write_sweep_json(out, plan.size(), failed, [&](JsonWriter& j) {
-    for_each_result(queue, plan, [&](const sweep::TaskResult& r) {
-      sweep::write_result_json_row(j, r);
-    });
+    ResultCollector(queue, plan, j).finish();
   });
   return failed;
 }

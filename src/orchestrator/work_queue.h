@@ -25,9 +25,12 @@
 //   <dir>/counters                layout 2: total/segment size, written
 //                                 once at seed (O(1) status)
 //   <dir>/workers/<id>.pub        layout 2: per-worker publish checkpoint
-//                                 (records + log bytes covered) — an
-//                                 accelerator, not an authority: readers
-//                                 tail-scan each log past its checkpoint
+//                                 (records + log bytes covered), rewritten
+//                                 every 256 records and at exit, never per
+//                                 claim — an accelerator, not an
+//                                 authority: readers tail-scan each log
+//                                 past its checkpoint (at most 256
+//                                 records), so counts stay exact
 //   <dir>/workers/<id>.stats      per-worker progress (heartbeat mtime)
 //   <dir>/probe                   mtime reference for lease expiry
 //
@@ -68,9 +71,13 @@
 // bytes.
 //
 // Results stream out one cell at a time — a worker holds at most its
-// in-flight cells in memory, and the collector emits the final CSV/JSON
-// row by row through the same emitters a single-process SweepResult uses,
-// so the merged output is byte-identical to `run_sweep` by construction.
+// in-flight cells in memory, and the collector (ResultCollector) emits the
+// final CSV/JSON row by row through the same emitters a single-process
+// SweepResult uses, so the merged output is byte-identical to `run_sweep`
+// by construction. The collect streams while the fleet drains: the
+// coordinator writes the rows of the leading published cells on every
+// completion-wait wake-up, so only the last few rows remain once the plan
+// completes.
 #pragma once
 
 #include <chrono>
@@ -88,7 +95,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/csv.h"
 #include "orchestrator/execution_plan.h"
+
+namespace bbrmodel {
+class JsonWriter;
+}  // namespace bbrmodel
 
 namespace bbrmodel::orchestrator {
 
@@ -339,9 +351,11 @@ class WorkQueue {
 
   /// Read one finished cell back, joining the stored status/metrics with
   /// the plan's task coordinates. nullopt when the cell has no result yet
-  /// or the file is damaged.
-  std::optional<sweep::TaskResult> load_result(
-      const sweep::SweepTask& task) const;
+  /// or the file is damaged. `row_only` decodes just what a result row
+  /// prints (the scalar metrics; see sweep::decode_cell_metrics), as the
+  /// collectors do.
+  std::optional<sweep::TaskResult> load_result(const sweep::SweepTask& task,
+                                               bool row_only = false) const;
 
   /// Status-only peek at a result: true = ok, false = failed, nullopt =
   /// absent/damaged. Reads one line, not the metrics — the cheap half of
@@ -418,9 +432,11 @@ class WorkQueue {
   /// Segment layout internals. One record of a worker's result log,
   /// located for on-demand reads.
   struct ResultLoc {
-    std::uint32_t log = 0;       ///< index into logs_
-    std::uint8_t ok = 1;         ///< the record's ok flag
     std::uint64_t offset = 0;    ///< record start within the log
+    std::uint32_t log = 0;       ///< index into logs_
+    std::uint32_t bytes : 31;    ///< record length (framing included)
+    std::uint32_t ok : 1;        ///< the record's ok flag
+    ResultLoc() : bytes(0), ok(1) {}
   };
   /// Reader-side state of one results/<worker>.rlog.
   struct LogState {
@@ -456,7 +472,7 @@ class WorkQueue {
   /// Rewrite one worker's .pub checkpoint from its PubState.
   void write_checkpoint_locked(const std::string& worker_id,
                                PubState& pub) const;
-  /// Flush every dirty publish checkpoint (claim-unit boundaries, exit).
+  /// Flush every dirty publish checkpoint (at exit).
   void flush_published() const;
   /// The set of failed-cell indices (one readdir of failed/, O(failures)).
   std::vector<std::size_t> list_failed() const;
@@ -491,6 +507,8 @@ class WorkQueue {
   mutable std::vector<LogState> logs_;
   mutable std::unordered_map<std::string, std::uint32_t> log_ids_;
   mutable std::unordered_map<std::size_t, ResultLoc> result_index_;
+  /// load_result's record buffer, reused across calls.
+  mutable std::string record_buffer_;
   /// Segment layout, writer side: per-worker append handles + checkpoint
   /// accumulators for this process.
   mutable std::mutex publish_mutex_;
@@ -620,12 +638,57 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
                         const sweep::SweepOptions& options,
                         const WorkerConfig& config);
 
-/// Streaming collection: emit the completed plan's CSV/JSON one cell at a
-/// time, byte-identical to the single-process run_sweep output (shared
-/// row emitters; nothing is buffered beyond one row). Throws when a cell
-/// has no result. Returns the number of failed cells.
+/// Streaming collection: a cursor over the plan that writes each cell's
+/// row, in plan order, through the same row emitters a single-process
+/// SweepResult uses — so the output is byte-identical to run_sweep's by
+/// construction, and nothing is held beyond one row.
+///
+/// advance() may run while the fleet still drains (the coordinator calls
+/// it on every completion-wait wake-up): it writes the rows of every
+/// leading cell whose *ok* result is published and stops at the first
+/// cell without one. A failed cell therefore holds the stream until
+/// finish(), which writes the rest and resolves failed cells exactly as a
+/// collect after completion would — an ok record from a late duplicate
+/// run still wins over the failure.
+class ResultCollector {
+ public:
+  /// CSV rows; the header is written at once.
+  ResultCollector(const WorkQueue& queue, const ExecutionPlan& plan,
+                  std::ostream& csv);
+  /// JSON rows into the open row array of sweep::write_sweep_json.
+  ResultCollector(const WorkQueue& queue, const ExecutionPlan& plan,
+                  JsonWriter& rows);
+
+  /// Write every leading row that is ready; returns how many it wrote.
+  std::size_t advance();
+  /// Write every remaining row; throws PreconditionError naming the first
+  /// cell without a result. Returns the failed cells among all rows.
+  std::size_t finish();
+  /// Rows written so far.
+  std::size_t rows() const { return next_; }
+
+ private:
+  /// Write the next cell's row. Without `all`, only an ok result is
+  /// written and a missing one returns false; with it, any result is
+  /// written and a missing one throws.
+  bool write_next(bool all);
+
+  const WorkQueue& queue_;
+  const ExecutionPlan& plan_;
+  std::optional<CsvWriter> csv_;
+  JsonWriter* json_ = nullptr;
+  std::size_t next_ = 0;    ///< plan position of the next row
+  std::size_t failed_ = 0;  ///< failed rows written
+};
+
+/// A ResultCollector run to completion after the plan is complete.
+/// Throws when a cell has no result. Returns the number of failed cells.
+/// Specs decode as each row is written, so on a parsed plan a malformed
+/// spec surfaces here as a PreconditionError naming its cell.
 std::size_t collect_csv(const WorkQueue& queue, const ExecutionPlan& plan,
                         std::ostream& out);
+/// The same for the JSON envelope, whose totals precede the rows: a
+/// status-only pass counts failed cells first.
 std::size_t collect_json(const WorkQueue& queue, const ExecutionPlan& plan,
                          std::ostream& out);
 

@@ -50,6 +50,24 @@ class EventQueue {
     schedule_at(now_ + delay, std::forward<F>(action));
   }
 
+  /// Take the tie-break sequence number the next schedule_at would use,
+  /// without scheduling anything. A timer that is re-armed far more often
+  /// than it fires reserves one per arm and schedules only the arm that
+  /// matters, through schedule_at_seq: every other event keeps the
+  /// sequence number it would have had.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `action` at (t, seq), `seq` taken from reserve_seq(): it
+  /// runs exactly where an event scheduled at `t` when `seq` was reserved
+  /// would have run.
+  template <typename F>
+  void schedule_at_seq(double t, std::uint64_t seq, F&& action) {
+    BBRM_REQUIRE_MSG(t >= now_ - 1e-12, "cannot schedule into the past");
+    BBRM_REQUIRE_MSG(seq < next_seq_, "sequence not taken by reserve_seq");
+    Node* node = make_node(std::forward<F>(action));
+    queue_.push(Entry{std::max(t, now_), seq, node});
+  }
+
   /// Run events until the queue is empty or the clock passes `t_end`.
   /// Events scheduled exactly at t_end are executed.
   void run_until(double t_end);

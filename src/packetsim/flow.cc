@@ -254,15 +254,35 @@ void Flow::update_rtt(double sample_s) {
 }
 
 void Flow::arm_rto() {
-  const double deadline =
+  rto_deadline_ =
       events_.now() + rto_ * std::exp2(static_cast<double>(rto_backoff_));
-  rto_deadline_ = deadline;
-  const std::uint64_t epoch = ++rto_epoch_;
-  events_.schedule_at(deadline, [this, epoch] { fire_rto(epoch); });
+  rto_seq_ = events_.reserve_seq();
+  // A queued timer event that pops first re-pushes itself at the live
+  // key; only a deadline that moved earlier needs an event of its own
+  // (the queued one is then orphaned and ignored when it pops).
+  if (timer_pending_ && timer_at_ <= rto_deadline_) return;
+  schedule_timer();
 }
 
-void Flow::fire_rto(std::uint64_t epoch) {
-  if (epoch != rto_epoch_) return;  // superseded by a newer arm
+void Flow::schedule_timer() {
+  timer_pending_ = true;
+  timer_at_ = rto_deadline_;
+  timer_seq_ = rto_seq_;
+  events_.schedule_at_seq(rto_deadline_, rto_seq_,
+                          [this, seq = rto_seq_] { on_timer(seq); });
+}
+
+void Flow::on_timer(std::uint64_t seq) {
+  if (!timer_pending_ || seq != timer_seq_) return;  // orphaned
+  timer_pending_ = false;
+  if (seq == rto_seq_) {
+    fire_rto();
+  } else {
+    schedule_timer();  // re-armed since it was queued
+  }
+}
+
+void Flow::fire_rto() {
   if (outstanding_.empty()) return;
 
   ++rtos_;

@@ -102,8 +102,13 @@ class Flow {
   void send_one();
   void handle_ack(std::int64_t cum, Packet echo);
   void update_rtt(double sample_s);
+  /// Restart the retransmission timer at now + RTO (backed off).
   void arm_rto();
-  void fire_rto(std::uint64_t epoch);
+  /// Put the flow's one timer event in the queue at the live deadline.
+  void schedule_timer();
+  /// The timer event scheduled under `seq` popped.
+  void on_timer(std::uint64_t seq);
+  void fire_rto();
 
   EventQueue& events_;
   NodePool pool_;  ///< backs outstanding_/retx_queue_/rcv_out_of_order_
@@ -131,8 +136,16 @@ class Flow {
   double min_rtt_ = 0.0;
   double rto_ = 1.0;
   int rto_backoff_ = 0;
-  std::uint64_t rto_epoch_ = 0;
+  // The live timer is the key (rto_deadline_, rto_seq_) of the latest
+  // arm. At most one timer event is queued, at (timer_at_, timer_seq_):
+  // when it pops before the live key it re-pushes itself there, so the
+  // timer fires at the same point of the event order as if every arm had
+  // queued its own event, without queueing one per send and per ACK.
   double rto_deadline_ = 0.0;
+  std::uint64_t rto_seq_ = 0;
+  bool timer_pending_ = false;
+  double timer_at_ = 0.0;
+  std::uint64_t timer_seq_ = 0;
 
   // Receiver state.
   std::int64_t rcv_next_ = 0;

@@ -84,7 +84,7 @@ std::string encode_cell_metrics(const metrics::AggregateMetrics& m) {
 }
 
 std::optional<metrics::AggregateMetrics> decode_cell_metrics(
-    std::string_view bytes) {
+    std::string_view bytes, bool scalars_only) {
   // The header line, then one row of seven comma-separated cells; bytes
   // after the row are ignored.
   std::string_view rest = bytes;
@@ -113,6 +113,7 @@ std::optional<metrics::AggregateMetrics> decode_cell_metrics(
     if (!v) return std::nullopt;
     *scalars[i] = *v;
   }
+  if (scalars_only) return m;
   // A malformed token reads as a miss, never as a hit with a short vector.
   auto rates = decode_numbers(cells[5]);
   auto aux = decode_numbers(cells[6]);

@@ -121,7 +121,10 @@ std::string encode_cell_metrics(const metrics::AggregateMetrics& m);
 
 /// Inverse of encode_cell_metrics. nullopt on any damage or stale layout —
 /// a corrupt payload must read as absent, never as wrong data.
+/// `scalars_only` decodes just the five scalar metrics, which is all a
+/// result row prints, and leaves mean_rate_pps and aux empty; the
+/// payload's shape is checked either way.
 std::optional<metrics::AggregateMetrics> decode_cell_metrics(
-    std::string_view bytes);
+    std::string_view bytes, bool scalars_only = false);
 
 }  // namespace bbrmodel::sweep

@@ -338,24 +338,23 @@ std::vector<std::string> SweepResult::csv_header() {
 
 void write_result_csv_row(CsvWriter& csv, const TaskResult& r) {
   const auto& t = r.task;
-  csv.write_row(std::vector<std::string>{
-      csv_number(static_cast<double>(t.index)),
-      to_string(t.backend),
-      net::to_string(t.spec.discipline),
-      t.mix_label,
-      csv_number(static_cast<double>(t.spec.mix.flows.size())),
-      csv_number(t.spec.buffer_bdp),
-      csv_number(t.spec.min_rtt_s),
-      csv_number(t.spec.max_rtt_s),
-      std::to_string(t.spec.seed),
-      csv_number(r.metrics.jain),
-      csv_number(r.metrics.loss_pct),
-      csv_number(r.metrics.occupancy_pct),
-      csv_number(r.metrics.utilization_pct),
-      csv_number(r.metrics.jitter_ms),
-      r.ok ? "ok" : "failed",
-      r.error,
-  });
+  csv.number(static_cast<double>(t.index))
+      .field(to_string(t.backend))
+      .field(net::to_string(t.spec.discipline))
+      .field(t.mix_label)
+      .number(static_cast<double>(t.spec.mix.flows.size()))
+      .number(t.spec.buffer_bdp)
+      .number(t.spec.min_rtt_s)
+      .number(t.spec.max_rtt_s)
+      .integer(t.spec.seed)
+      .number(r.metrics.jain)
+      .number(r.metrics.loss_pct)
+      .number(r.metrics.occupancy_pct)
+      .number(r.metrics.utilization_pct)
+      .number(r.metrics.jitter_ms)
+      .field(r.ok ? "ok" : "failed")
+      .field(r.error)
+      .end_row();
 }
 
 void write_result_json_row(JsonWriter& j, const TaskResult& r) {

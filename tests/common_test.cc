@@ -170,6 +170,22 @@ TEST(Csv, RejectsWrongWidth) {
   EXPECT_THROW(w.write_row(std::vector<double>{1.0, 2.0}), PreconditionError);
 }
 
+TEST(Csv, RowBuilderMatchesTheCellFormatters) {
+  std::ostringstream os;
+  CsvWriter w(os, {"n", "text", "seed", "missing"});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  w.number(0.1 + 0.2).field("a,b").integer(18446744073709551615ULL).number(nan)
+      .end_row();
+  // A short row is refused without leaking its cells into the next one.
+  w.number(1.0);
+  EXPECT_THROW(w.end_row(), PreconditionError);
+  w.number(2.0).field("plain").integer(7).number(-0.5).end_row();
+  EXPECT_EQ(w.rows_written(), 2u);
+  EXPECT_EQ(os.str(), "n,text,seed,missing\n" + csv_number(0.1 + 0.2) + "," +
+                          csv_escape("a,b") + ",18446744073709551615," +
+                          csv_number(nan) + "\n2,plain,7,-0.5\n");
+}
+
 TEST(Units, RateConversionsRoundTrip) {
   const double pps = mbps_to_pps(100.0);
   EXPECT_NEAR(pps, 8333.3333, 1e-3);

@@ -166,6 +166,78 @@ TEST(ExecutionPlan, ParseRejectsMalformedDocuments) {
                PreconditionError);
 }
 
+TEST(ExecutionPlan, ParseDefersSpecDecodingToEachCellsFirstAccess) {
+  const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
+  ASSERT_GE(plan.size(), 4u);
+  const std::string bytes = plan.serialize();
+  // Damage one spec body without moving a byte of framing: an unknown
+  // field name of the same length.
+  const std::size_t bad = 2;
+  std::string damaged = bytes;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i <= bad; ++i) at = damaged.find("\ncell=", at + 1);
+  at = damaged.find("\nbuffer_bdp=", at);
+  ASSERT_NE(at, std::string::npos);
+  damaged.replace(at, 12, "\nbuffer_bdq=");
+
+  const auto parsed = ExecutionPlan::parse(damaged);  // framing is intact
+  ASSERT_EQ(parsed.size(), plan.size());
+  const std::size_t bad_index = plan.cell(bad).index;
+  try {
+    parsed.cell_by_index(bad_index);
+    ADD_FAILURE() << "a malformed spec must throw at its first access";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("cell " +
+                                         std::to_string(bad_index)),
+              std::string::npos)
+        << e.what();
+  }
+  // It keeps throwing, and every other cell still decodes.
+  EXPECT_THROW(parsed.cell(bad), PreconditionError);
+  EXPECT_THROW(parsed.cells(), PreconditionError);
+  EXPECT_THROW(parsed.serialize(), PreconditionError);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    if (i == bad) continue;
+    EXPECT_EQ(scenario::canonical_spec_string(parsed.cell(i).spec),
+              scenario::canonical_spec_string(plan.cell(i).spec));
+    EXPECT_EQ(parsed.describe_cell(plan.cell(i).index),
+              plan.describe_cell(plan.cell(i).index));
+  }
+}
+
+TEST(ExecutionPlan, ConcurrentFirstAccessDecodesEachCellOnce) {
+  // Claim loops race for the same cells of a parsed plan; the TSan job
+  // runs this test.
+  const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
+  const std::string bytes = plan.serialize();
+  for (int round = 0; round < 4; ++round) {
+    const auto parsed = ExecutionPlan::parse(bytes);
+    std::vector<std::string> seen[4];
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t k = 0; k < parsed.size(); ++k) {
+          // Threads walk the cells in different orders, so each cell is
+          // first touched by whichever thread gets there first.
+          const std::size_t i = t % 2 == 0 ? k : parsed.size() - 1 - k;
+          const sweep::SweepTask& cell =
+              parsed.cell_by_index(plan.cell(i).index);
+          seen[t].push_back(scenario::canonical_spec_string(cell.spec));
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < 4; ++t) {
+      ASSERT_EQ(seen[t].size(), plan.size());
+      for (std::size_t k = 0; k < plan.size(); ++k) {
+        const std::size_t i = t % 2 == 0 ? k : plan.size() - 1 - k;
+        EXPECT_EQ(seen[t][k], scenario::canonical_spec_string(plan.cell(i).spec));
+      }
+    }
+    EXPECT_EQ(parsed.serialize(), bytes);
+  }
+}
+
 TEST(ExecutionPlan, SerializedBytesArePinned) {
   // Plan bytes feed the cell cache keys (canonical spec bytes) and the
   // queue's resume byte-compare, so any codec change that moves a byte

@@ -67,6 +67,21 @@ TEST(EventQueue, RejectsPastScheduling) {
   EXPECT_THROW(q.schedule_at(0.5, [] {}), PreconditionError);
 }
 
+TEST(EventQueue, ReservedSequenceKeepsItsPlaceAmongTies) {
+  // An event scheduled late under an early reserved sequence number runs
+  // where it would have run had it been scheduled at reservation time.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(0.5, [&order] { order.push_back(0); });
+  const std::uint64_t reserved = q.reserve_seq();
+  q.schedule_at(0.5, [&order] { order.push_back(2); });
+  q.schedule_at_seq(0.5, reserved, [&order] { order.push_back(1); });
+  q.run_until(1.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_THROW(q.schedule_at_seq(2.0, reserved + 100, [] {}),
+               PreconditionError);
+}
+
 TEST(DropTail, DropsOnlyWhenFull) {
   DropTailAqm aqm(10.0);
   Rng rng(1);
@@ -417,6 +432,59 @@ TEST(DumbbellNet, StaggeredStartTimes) {
   // The late flow had half the time → it must have sent notably less.
   EXPECT_LT(net.flow(1).stats().data_sent, net.flow(0).stats().data_sent);
   EXPECT_GT(net.flow(1).stats().data_sent, 0);
+}
+
+TEST(Flow, ReArmingTheTimeoutQueuesOneTimerEvent) {
+  // A loss-free path whose egress hands packets straight to the receiver:
+  // every send and every ACK re-arms the retransmission timer. All other
+  // events are countable — start, SYN egress and SYN-ACK, then one send,
+  // one egress (received) and one ACK (delivered) per data packet — so
+  // what is left is the timer's own events. Before the timer kept one
+  // queued event, each arm queued its own, ~1000 in this run.
+  EventQueue events;
+  Flow* self = nullptr;
+  Flow flow(
+      events, 0, 0.010,
+      [&self](const Packet& packet) { self->deliver_to_receiver(packet); },
+      0.010, std::make_unique<FixedWindowCca>(20.0));
+  self = &flow;
+  flow.start();
+  events.run_until(0.99);  // before the SYN retry timer at 1 s
+  const auto s = flow.stats();
+  EXPECT_EQ(s.rtos, 0);
+  EXPECT_EQ(s.retransmits, 0);
+  const auto transport =
+      static_cast<std::uint64_t>(3 + s.data_sent + s.received + s.delivered);
+  ASSERT_GE(events.executed(), transport);
+  const std::uint64_t timer_events = events.executed() - transport;
+  const auto arms = static_cast<std::uint64_t>(s.data_sent + s.delivered);
+  EXPECT_GT(arms, 1000u);
+  // About one pop per 200 ms RTO floor, however many arms.
+  EXPECT_LE(timer_events, 6u);
+}
+
+TEST(DumbbellNet, TimeoutsFireAsWithOneTimerEventPerArm) {
+  // A two-packet buffer shared by four Reno flows: retransmission timeouts
+  // do fire. The counts are the ones recorded when every arm queued its
+  // own timer event; one queued event per flow must keep them exactly.
+  DumbbellNet net(1000.0, 0.010, 2.0, AqmKind::kDropTail, 7);
+  for (int i = 0; i < 4; ++i) {
+    net.add_flow(0.005 + 0.001 * i, std::make_unique<RenoCca>());
+  }
+  net.run(5.0);
+  struct Expected {
+    std::int64_t rtos, retransmits, delivered, data_sent;
+  };
+  const Expected expected[] = {
+      {7, 58, 309, 373}, {2, 60, 586, 650}, {4, 58, 410, 472},
+      {2, 52, 470, 525}};
+  for (int i = 0; i < 4; ++i) {
+    const auto s = net.flow(static_cast<std::size_t>(i)).stats();
+    EXPECT_EQ(s.rtos, expected[i].rtos) << "flow " << i;
+    EXPECT_EQ(s.retransmits, expected[i].retransmits) << "flow " << i;
+    EXPECT_EQ(s.delivered, expected[i].delivered) << "flow " << i;
+    EXPECT_EQ(s.data_sent, expected[i].data_sent) << "flow " << i;
+  }
 }
 
 }  // namespace

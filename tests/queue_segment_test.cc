@@ -12,11 +12,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -652,14 +655,228 @@ TEST(SegmentQueue, CountersAgreeWithTheExactCensusThroughoutADrain) {
   }
 }
 
+// ---- streaming collect while the fleet drains -----------------------------
+
+/// The first `rows` lines after the header of a CSV document, header
+/// included.
+std::string csv_prefix(const std::string& csv, std::size_t rows) {
+  std::size_t end = 0;
+  for (std::size_t i = 0; i <= rows; ++i) end = csv.find('\n', end) + 1;
+  return csv.substr(0, end);
+}
+
+TEST(StreamingCollect, RowsStreamWhileWorkersDrainAndMatchRunSweep) {
+  const auto plan = plan_of(25);  // 50 cells
+  sweep::SweepOptions options;
+  options.runner = synthetic_runner();
+  const auto reference = reference_bytes(plan, options);
+
+  // Cells from index 20 on wait for the gate, so the drain holds still
+  // with exactly cells 0..19 published.
+  constexpr std::size_t kGateIndex = 20;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  const sweep::Runner synthetic = synthetic_runner();
+  sweep::SweepOptions worker_options;
+  worker_options.threads = 2;
+  worker_options.runner =
+      sweep::make_runner("gated", [&](const sweep::SweepTask& task) {
+        if (task.index >= kGateIndex) {
+          std::unique_lock<std::mutex> lock(gate_mutex);
+          gate_cv.wait(lock, [&] { return gate_open; });
+        }
+        return synthetic.run_one(task);
+      });
+  const auto open_gate = [&] {
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex);
+      gate_open = true;
+    }
+    gate_cv.notify_all();
+  };
+
+  WorkQueue queue(scratch_dir("sc_stream"), 60.0);
+  queue.seed(plan, 1, /*segment_cells=*/4);
+  std::ostringstream csv;
+  ResultCollector collector(queue, plan, csv);
+  EXPECT_EQ(collector.advance(), 0u);
+  EXPECT_EQ(csv.str(), csv_prefix(reference.csv, 0)) << "header only";
+
+  std::thread worker([&] {
+    run_worker(queue, plan, worker_options, segment_worker("worker-a"));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (queue.done_count() < kGateIndex &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::size_t done_mid_drain = queue.done_count();
+  const std::size_t streamed = collector.advance();
+  open_gate();
+  worker.join();
+  ASSERT_EQ(done_mid_drain, kGateIndex);
+  EXPECT_EQ(streamed, kGateIndex);
+  EXPECT_EQ(collector.rows(), kGateIndex);
+  EXPECT_EQ(csv.str(), csv_prefix(reference.csv, kGateIndex))
+      << "the rows of the published leading cells stream mid-drain";
+
+  EXPECT_EQ(collector.finish(), 0u);
+  EXPECT_EQ(collector.rows(), plan.size());
+  EXPECT_EQ(csv.str(), reference.csv)
+      << "a streamed collect must be byte-identical to run_sweep";
+}
+
+TEST(StreamingCollect, AFailedCellHoldsTheStreamUntilFinish) {
+  const auto plan = plan_of(6);  // 12 cells
+  const auto publish_ok = [&](const WorkQueue& queue, std::size_t i,
+                              const std::string& worker) {
+    sweep::TaskResult result;
+    result.task = plan.cell(i);
+    result.metrics = synthetic_runner().run_one(result.task);
+    queue.publish(result, worker);
+  };
+  const auto publish_failed = [&](const WorkQueue& queue, std::size_t i) {
+    sweep::TaskResult result;
+    result.task = plan.cell(i);
+    result.ok = false;
+    result.error = "boom";
+    queue.publish(result, "w1");
+  };
+
+  {
+    WorkQueue queue(scratch_dir("sc_failed"), 60.0);
+    queue.seed(plan, 1, /*segment_cells=*/4);
+    std::ostringstream csv;
+    ResultCollector collector(queue, plan, csv);
+    publish_ok(queue, 0, "w1");
+    publish_failed(queue, 1);
+    for (std::size_t i = 2; i < plan.size(); ++i) publish_ok(queue, i, "w1");
+    EXPECT_EQ(collector.advance(), 1u);
+    EXPECT_EQ(collector.advance(), 0u) << "the failed cell holds the stream";
+    EXPECT_EQ(collector.finish(), 1u);
+    std::ostringstream after;
+    EXPECT_EQ(collect_csv(queue, plan, after), 1u);
+    EXPECT_EQ(csv.str(), after.str());
+  }
+  {
+    // Failed cells are resolved only in finish(): an ok record a late
+    // duplicate run publishes before then still wins.
+    WorkQueue queue(scratch_dir("sc_late_ok"), 60.0);
+    queue.seed(plan, 1, /*segment_cells=*/4);
+    std::ostringstream csv;
+    ResultCollector collector(queue, plan, csv);
+    publish_failed(queue, 0);
+    for (std::size_t i = 1; i < plan.size(); ++i) publish_ok(queue, i, "w1");
+    EXPECT_EQ(collector.advance(), 0u);
+    publish_ok(queue, 0, "w2");
+    EXPECT_EQ(collector.advance(), plan.size());
+    EXPECT_EQ(collector.finish(), 0u);
+    sweep::SweepOptions options;
+    options.runner = synthetic_runner();
+    EXPECT_EQ(csv.str(), reference_bytes(plan, options).csv);
+  }
+}
+
+TEST(StreamingCollect, FinishOnAnIncompleteQueueThrows) {
+  const auto plan = plan_of(6);
+  WorkQueue queue(scratch_dir("sc_incomplete"), 60.0);
+  queue.seed(plan, 1, /*segment_cells=*/4);
+  for (std::size_t i = 0; i < 5; ++i) {
+    sweep::TaskResult result;
+    result.task = plan.cell(i);
+    result.metrics = synthetic_runner().run_one(result.task);
+    queue.publish(result, "w1");
+  }
+  std::ostringstream csv;
+  ResultCollector collector(queue, plan, csv);
+  EXPECT_EQ(collector.advance(), 5u);
+  try {
+    collector.finish();
+    ADD_FAILURE() << "finish() must require every cell";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("no result for cell " +
+                                         std::to_string(plan.cell(5).index)),
+              std::string::npos)
+        << e.what();
+  }
+  std::ostringstream json;
+  EXPECT_THROW(collect_json(queue, plan, json), PreconditionError);
+}
+
+// ---- publish checkpoint cadence -------------------------------------------
+
+TEST(SegmentQueue, ClaimFinishLeavesTheCheckpointToItsCadence) {
+  const auto plan = plan_of(128);  // 256 cells = 64 claims of 4
+  const std::string dir = scratch_dir("sq_cadence");
+  const auto checkpoint = fs::path(dir) / "workers" / "w1.pub";
+  WorkQueue queue(dir, 60.0);
+  queue.seed(plan, 1, /*segment_cells=*/4);
+  for (std::size_t claims = 1; claims <= 64; ++claims) {
+    auto claim = queue.try_claim_batch("w1", 4);
+    ASSERT_TRUE(claim.has_value());
+    ASSERT_EQ(claim->indices.size(), 4u);
+    for (const std::size_t index : claim->indices) {
+      sweep::TaskResult result;
+      result.task = plan.cell_by_index(index);
+      result.metrics = synthetic_runner().run_one(result.task);
+      queue.publish(result, "w1");
+    }
+    queue.finish(*claim);
+    if (claims == 1) {
+      std::ifstream in(checkpoint);
+      std::string first;
+      std::getline(in, first);
+      EXPECT_EQ(first, "records=0")
+          << "finishing a claim must not rewrite the checkpoint";
+    }
+    // The checkpoint is advisory: the tail scan past it keeps the cheap
+    // view exact.
+    EXPECT_EQ(queue.counters().done, queue.done_count()) << claims;
+  }
+  EXPECT_EQ(queue.done_count(), plan.size());
+  WorkQueue reader(dir, 60.0);
+  EXPECT_EQ(reader.counters().done, plan.size());
+  EXPECT_EQ(reader.done_count(), plan.size());
+}
+
 // ---- streaming collect memory ---------------------------------------------
 
+// ASan's quarantine holds freed memory back, so under ASan the peak RSS
+// measures the quarantine, not the collect. There the collect's peak live
+// heap is read from the sanitizer's allocator instead.
+#if defined(__SANITIZE_ADDRESS__)
+#define BBRM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define BBRM_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef BBRM_TEST_ASAN
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
+
 /// Discards everything written to it: the collectors' output sink when
-/// only their memory behavior is under test.
+/// only their memory behavior is under test. Under ASan it also samples
+/// the live heap at every write (the collect writes once per row).
 struct NullBuffer : std::streambuf {
-  int overflow(int c) override { return c; }
+  std::size_t peak_heap_bytes = 0;
+
+  int overflow(int c) override {
+    sample();
+    return c;
+  }
   std::streamsize xsputn(const char*, std::streamsize n) override {
+    sample();
     return n;
+  }
+  void sample() {
+#ifdef BBRM_TEST_ASAN
+    peak_heap_bytes = std::max(peak_heap_bytes,
+                               __sanitizer_get_current_allocated_bytes());
+#endif
   }
 };
 
@@ -717,11 +934,21 @@ TEST(SegmentQueue, CollectPeakMemoryStaysFlatFrom1kTo100kCells) {
     }
     // Everything above (plan expansion, seed, publishes) is in the
     // baseline; only the collect below may raise the high-water mark.
-    const std::size_t hwm_before_collect = vm_hwm_kb();
     NullBuffer sink;
     std::ostream out(&sink);
+#ifdef BBRM_TEST_ASAN
+    const std::size_t heap_before_collect =
+        __sanitizer_get_current_allocated_bytes();
+    ASSERT_EQ(collect_csv(queue, big, out), 0u);
+    const std::size_t delta_kb =
+        (std::max(sink.peak_heap_bytes, heap_before_collect) -
+         heap_before_collect) /
+        1024u;
+#else
+    const std::size_t hwm_before_collect = vm_hwm_kb();
     ASSERT_EQ(collect_csv(queue, big, out), 0u);
     const std::size_t delta_kb = vm_hwm_kb() - hwm_before_collect;
+#endif
     EXPECT_LT(delta_kb, 32u * 1024u)
         << "a 100k-cell collect must stream, not buffer, its results";
   }

@@ -704,7 +704,7 @@ int run_merge(int argc, char** argv) {
       plan_bytes.erase(0, eol == std::string::npos ? plan_bytes.size()
                                                    : eol + 1);
     }
-    plan = orchestrator::ExecutionPlan::parse(plan_bytes);
+    plan = orchestrator::ExecutionPlan::parse(std::move(plan_bytes));
     context.expected_cells = plan->size();
     context.describe = [&plan](std::size_t index) {
       return plan->describe_cell(index);
@@ -850,26 +850,81 @@ void flush_trace() {
   }
 }
 
-/// Stream the completed queue's merged output to `path` ('-' = stdout),
-/// returning the failed-cell count.
-std::size_t collect_to(const orchestrator::WorkQueue& queue,
-                       const orchestrator::ExecutionPlan& plan,
-                       const std::string& path, bool json) {
-  const auto collect = [&](std::ostream& out) {
-    return json ? orchestrator::collect_json(queue, plan, out)
-                : orchestrator::collect_csv(queue, plan, out);
-  };
-  if (path == "-") return collect(std::cout);
+/// Write the completed queue's merged JSON to `path` ('-' = stdout),
+/// returning the failed-cell count. JSON stays an end-of-run write: its
+/// envelope carries the failed count before the rows.
+std::size_t collect_json_to(const orchestrator::WorkQueue& queue,
+                            const orchestrator::ExecutionPlan& plan,
+                            const std::string& path) {
+  if (path == "-") return orchestrator::collect_json(queue, plan, std::cout);
   std::ofstream out(path);
   if (!out) fail("cannot open " + path);
-  const std::size_t failed = collect(out);
+  const std::size_t failed = orchestrator::collect_json(queue, plan, out);
   obs::log(obs::LogLevel::kInfo, "wrote %s", path.c_str());
   return failed;
 }
 
+/// The coordinator's --csv output, streamed while the fleet drains. A file
+/// is written under a temp name beside PATH ("PATH.partial") and renamed
+/// over PATH once every row is in, so PATH only ever holds a complete CSV.
+/// An error removes the temp file; a killed coordinator leaves it for the
+/// next run, which overwrites it. '-' streams to stdout.
+class CsvStream {
+ public:
+  CsvStream(const orchestrator::WorkQueue& queue,
+            const orchestrator::ExecutionPlan& plan, std::string path)
+      : path_(std::move(path)) {
+    std::ostream* out = &std::cout;
+    if (path_ != "-") {
+      temp_ = path_ + ".partial";
+      file_.open(temp_, std::ios::binary | std::ios::trunc);
+      if (!file_) fail("cannot open " + temp_);
+      out = &file_;
+    }
+    collector_.emplace(queue, plan, *out);
+  }
+  CsvStream(const CsvStream&) = delete;
+  CsvStream& operator=(const CsvStream&) = delete;
+  ~CsvStream() {
+    if (temp_.empty()) return;
+    file_.close();
+    std::error_code ec;
+    std::filesystem::remove(temp_, ec);
+  }
+
+  /// Write the rows that are ready; returns how many.
+  std::size_t advance() { return collector_->advance(); }
+  /// Rows written so far.
+  std::size_t rows() const { return collector_->rows(); }
+
+  /// Write the rest and publish the file; returns the failed-cell count.
+  std::size_t finish() {
+    const std::size_t failed = collector_->finish();
+    if (temp_.empty()) return failed;
+    file_.close();
+    if (!file_) throw std::runtime_error("cannot write " + temp_);
+    std::error_code ec;
+    std::filesystem::rename(temp_, path_, ec);
+    if (ec) {
+      throw std::runtime_error("cannot rename " + temp_ + " to " + path_ +
+                               ": " + ec.message());
+    }
+    temp_.clear();
+    obs::log(obs::LogLevel::kInfo, "wrote %s", path_.c_str());
+    return failed;
+  }
+
+ private:
+  std::string path_;
+  std::string temp_;  ///< empty: stdout, or already renamed
+  std::ofstream file_;
+  std::optional<orchestrator::ResultCollector> collector_;
+};
+
 /// `bbrsweep coordinator --queue-dir DIR [options]`: plan, seed the
-/// durable queue, watch progress (recovering expired leases), then stream
-/// the merged outputs byte-identically to the single-process run.
+/// durable queue, watch progress (recovering expired leases) while the CSV
+/// streams out, then finish the merged outputs byte-identically to the
+/// single-process run.
 int run_coordinator(int argc, char** argv) {
   Options opt = parse_args(argc, argv, /*first=*/2);
   if (!opt.queue_dir) fail("coordinator needs --queue-dir DIR");
@@ -931,18 +986,31 @@ int run_coordinator(int argc, char** argv) {
   };
   // Completion is the exact distinct-cell count, polled ever faster as
   // the plan nears its end; the watch line and lease recovery keep the
-  // --poll cadence.
+  // --poll cadence. Every wake-up also streams the CSV rows that became
+  // ready, so little is left to write once the plan completes — and once
+  // every row is out, every cell has an ok result: the plan is complete.
+  std::optional<CsvStream> csv;
+  if (opt.csv_path) csv.emplace(queue, plan, *opt.csv_path);
   orchestrator::CompletionWait completion(queue, plan.size(), opt.poll_s);
   const std::chrono::duration<double> poll(opt.poll_s);
   std::chrono::steady_clock::time_point last_watch;  // epoch: due at once
   while (!completion.poll()) {
+    const auto next_poll =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(completion.interval_s()));
     if (std::chrono::steady_clock::now() - last_watch >= poll) {
       last_watch = std::chrono::steady_clock::now();
       if (!opt.quiet) watch_line();
       queue.recover_expired();
     }
+    if (csv) {
+      obs::Span span("collect", "queue");
+      span.arg("rows", static_cast<std::uint64_t>(csv->advance()));
+      if (csv->rows() == plan.size()) break;
+    }
     obs::Span span("idle", "queue");
-    sleep_s(completion.interval_s());
+    std::this_thread::sleep_until(next_poll);
   }
   if (!opt.quiet) {
     watch_line();
@@ -952,11 +1020,9 @@ int run_coordinator(int argc, char** argv) {
   std::size_t failed = 0;
   {
     obs::Span span("collect", "queue");
-    if (opt.csv_path) {
-      failed = collect_to(queue, plan, *opt.csv_path, /*json=*/false);
-    }
+    if (csv) failed = csv->finish();
     if (opt.json_path) {
-      failed = collect_to(queue, plan, *opt.json_path, /*json=*/true);
+      failed = collect_json_to(queue, plan, *opt.json_path);
     }
   }
   flush_trace();
