@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -19,12 +20,22 @@ namespace bbrmodel::orchestrator {
 
 namespace {
 
-constexpr std::string_view kVersionLine = "bbrm-plan=1";
+/// The shortest framing a cell record can have (one-digit index, empty
+/// backend and mix, empty delta): parse bounds the cell count by it.
+constexpr std::string_view kMinimalRecord =
+    "cell=0\nbackend=\nmix=\ndelta-bytes=0\n";
+
+/// A line of a hostile document, cut short enough for an error message.
+std::string excerpt(std::string_view line) {
+  constexpr std::size_t kMax = 64;
+  return line.size() <= kMax ? std::string(line)
+                             : std::string(line.substr(0, kMax)) + "...";
+}
 
 sweep::Backend parse_backend_name(std::string_view name) {
   const auto backend = sweep::backend_from_name(std::string(name));
   BBRM_REQUIRE_MSG(backend.has_value(), "execution plan: unknown backend '" +
-                                            std::string(name) + "'");
+                                            excerpt(name) + "'");
   return *backend;
 }
 
@@ -72,9 +83,10 @@ class PlanReader {
 /// The version line and the runner/cells header fields.
 ExecutionPlan::Header read_header(PlanReader& in) {
   const auto line = in.line();
-  BBRM_REQUIRE_MSG(line == kVersionLine,
+  BBRM_REQUIRE_MSG(line == ExecutionPlan::kVersionLine,
                    "execution plan: expected version line '" +
-                       std::string(kVersionLine) + "'");
+                       std::string(ExecutionPlan::kVersionLine) + "', got '" +
+                       excerpt(line.value_or("")) + "'");
   ExecutionPlan::Header header;
   header.runner = in.field("runner");
   header.cells = in.size_field("cells", "count");
@@ -83,14 +95,26 @@ ExecutionPlan::Header read_header(PlanReader& in) {
 
 }  // namespace
 
-/// The document a plan was parsed from, kept for the specs it has not
-/// decoded yet. It is never moved once the views point into it.
+/// The document a plan was parsed from and the framing parse() found in
+/// it. A cell becomes a SweepTask only on its first access (decoded()), so
+/// loading a plan costs one scan of its framing, not a task per cell. The
+/// document is never moved once the views point into it.
 struct ExecutionPlan::Undecoded {
+  /// One cell record's framing; `mix` and `delta` view `document`.
+  struct Record {
+    std::size_t index = 0;
+    sweep::Backend backend = sweep::Backend::kFluid;
+    std::string_view mix;
+    std::string_view delta;
+  };
   std::string document;
-  std::vector<std::string_view> specs;  ///< per cell, into `document`
-  std::unique_ptr<std::atomic<bool>[]> ready;  ///< per cell: spec decoded
-  std::atomic<bool> all_ready{false};
-  std::mutex mutex;  ///< held while a spec decodes
+  scenario::ExperimentSpec base;  ///< decoded at parse
+  std::vector<Record> records;
+  /// Per record: its decoded task, null until the first access.
+  std::unique_ptr<std::atomic<const sweep::SweepTask*>[]> tasks;
+  std::deque<sweep::SweepTask> decoded;  ///< stable storage behind `tasks`
+  std::atomic<bool> all_ready{false};    ///< cells_ holds every cell
+  std::mutex mutex;  ///< held while a cell decodes or cells_ fills
 };
 
 ExecutionPlan::ExecutionPlan() = default;
@@ -117,29 +141,49 @@ ExecutionPlan::ExecutionPlan(std::vector<sweep::SweepTask> cells,
   }
 }
 
+std::size_t ExecutionPlan::size() const {
+  return undecoded_ != nullptr ? undecoded_->records.size() : cells_.size();
+}
+
 const sweep::SweepTask& ExecutionPlan::decoded(std::size_t position) const {
-  sweep::SweepTask& task = cells_[position];
-  if (undecoded_ == nullptr) return task;
+  if (undecoded_ == nullptr) return cells_[position];
   Undecoded& lazy = *undecoded_;
-  if (lazy.ready[position].load(std::memory_order_acquire)) return task;
-  std::lock_guard<std::mutex> lock(lazy.mutex);
-  if (!lazy.ready[position].load(std::memory_order_relaxed)) {
-    try {
-      task.spec = scenario::parse_canonical_spec(lazy.specs[position]);
-    } catch (const PreconditionError& e) {
-      throw PreconditionError("execution plan: malformed spec of cell " +
-                              std::to_string(task.index) + ": " + e.what());
-    }
-    lazy.ready[position].store(true, std::memory_order_release);
+  if (const auto* task = lazy.tasks[position].load(std::memory_order_acquire)) {
+    return *task;
   }
-  return task;
+  std::lock_guard<std::mutex> lock(lazy.mutex);
+  if (const auto* task = lazy.tasks[position].load(std::memory_order_relaxed)) {
+    return *task;
+  }
+  const Undecoded::Record& record = lazy.records[position];
+  sweep::SweepTask task;
+  task.index = record.index;
+  task.backend = record.backend;
+  task.mix_label = record.mix;
+  task.spec = lazy.base;
+  try {
+    scenario::apply_spec_delta(task.spec, record.delta);
+  } catch (const PreconditionError& e) {
+    throw PreconditionError("execution plan: malformed spec of cell " +
+                            std::to_string(task.index) + ": " + e.what());
+  }
+  const sweep::SweepTask& stored = lazy.decoded.emplace_back(std::move(task));
+  lazy.tasks[position].store(&stored, std::memory_order_release);
+  return stored;
 }
 
 const std::vector<sweep::SweepTask>& ExecutionPlan::cells() const {
   if (undecoded_ != nullptr &&
       !undecoded_->all_ready.load(std::memory_order_acquire)) {
-    for (std::size_t i = 0; i < cells_.size(); ++i) decoded(i);
-    undecoded_->all_ready.store(true, std::memory_order_release);
+    // Cells handed out earlier stay where they are; the vector is a copy.
+    std::vector<sweep::SweepTask> all;
+    all.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i) all.push_back(decoded(i));
+    std::lock_guard<std::mutex> lock(undecoded_->mutex);
+    if (!undecoded_->all_ready.load(std::memory_order_relaxed)) {
+      cells_ = std::move(all);
+      undecoded_->all_ready.store(true, std::memory_order_release);
+    }
   }
   return cells_;
 }
@@ -180,19 +224,23 @@ ExecutionPlan ExecutionPlan::from_tasks(std::vector<sweep::SweepTask> tasks,
 }
 
 const sweep::SweepTask& ExecutionPlan::cell(std::size_t position) const {
-  BBRM_REQUIRE(position < cells_.size());
+  BBRM_REQUIRE(position < size());
   return decoded(position);
 }
 
 const sweep::SweepTask& ExecutionPlan::cell_by_index(
     std::size_t task_index) const {
-  const auto it = std::lower_bound(
-      cells_.begin(), cells_.end(), task_index,
-      [](const sweep::SweepTask& t, std::size_t i) { return t.index < i; });
-  BBRM_REQUIRE_MSG(it != cells_.end() && it->index == task_index,
-                   "execution plan has no cell with task index " +
-                       std::to_string(task_index));
-  return decoded(static_cast<std::size_t>(it - cells_.begin()));
+  const auto find = [task_index](const auto& cells) {
+    const auto it = std::lower_bound(
+        cells.begin(), cells.end(), task_index,
+        [](const auto& cell, std::size_t i) { return cell.index < i; });
+    BBRM_REQUIRE_MSG(it != cells.end() && it->index == task_index,
+                     "execution plan has no cell with task index " +
+                         std::to_string(task_index));
+    return static_cast<std::size_t>(it - cells.begin());
+  };
+  return decoded(undecoded_ != nullptr ? find(undecoded_->records)
+                                       : find(cells_));
 }
 
 std::string ExecutionPlan::describe_cell(std::size_t task_index) const {
@@ -209,71 +257,104 @@ std::string ExecutionPlan::describe_cell(std::size_t task_index) const {
 }
 
 std::string ExecutionPlan::serialize() const {
-  cells();  // decode whatever is still undecoded
-  std::string out(kVersionLine);
-  out += "\nrunner=";
-  out += runner_name_;
-  out += "\ncells=";
-  append_u64(out, cells_.size());
-  out += '\n';
-  std::string spec;  // one buffer reused by every cell
-  for (const auto& cell : cells_) {
-    BBRM_REQUIRE_MSG(cell.mix_label.find('\n') == std::string::npos,
-                     "mix labels must be single-line");
-    spec.clear();
-    scenario::append_canonical_spec(spec, cell.spec);
-    if (&cell == &cells_.front()) {
-      // Plan cells have near-equal sizes: size the document once.
-      out.reserve(out.size() + cells_.size() * (spec.size() + 128));
-    }
-    out += "cell=";
-    append_u64(out, cell.index);
-    out += "\nbackend=";
-    out += sweep::to_string(cell.backend);
-    out += "\nmix=";
-    out += cell.mix_label;
-    out += "\nspec-bytes=";
-    append_u64(out, spec.size());
-    out += '\n';
-    out += spec;  // canonical bytes end in '\n' themselves
-  }
+  std::string out;
+  append_serialized(out);
   return out;
 }
 
-ExecutionPlan ExecutionPlan::parse(std::string bytes) {
+void ExecutionPlan::append_serialized(std::string& out) const {
+  const std::size_t n = size();
+  out += kVersionLine;
+  out += "\nrunner=";
+  out += runner_name_;
+  out += "\ncells=";
+  append_u64(out, n);
+  out += "\nbase-bytes=";
+  const scenario::ExperimentSpec* base = n > 0 ? &cell(0).spec : nullptr;
+  std::string spec;  // the base, then one delta buffer for every cell
+  if (base != nullptr) scenario::append_canonical_spec(spec, *base);
+  append_u64(out, spec.size());
+  out += '\n';
+  out += spec;  // canonical bytes end in '\n' themselves
+  const std::size_t records_at = out.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const sweep::SweepTask& task = cell(i);
+    BBRM_REQUIRE_MSG(task.mix_label.find('\n') == std::string::npos,
+                     "mix labels must be single-line");
+    spec.clear();
+    scenario::append_spec_delta(spec, *base, task.spec);
+    out += "cell=";
+    append_u64(out, task.index);
+    out += "\nbackend=";
+    out += sweep::to_string(task.backend);
+    out += "\nmix=";
+    out += task.mix_label;
+    out += "\ndelta-bytes=";
+    append_u64(out, spec.size());
+    out += '\n';
+    out += spec;
+    if (i == 1) {
+      // Plan records have near-equal sizes (the first one's delta is
+      // empty): size the document once from the first two.
+      out.reserve(out.size() + (n - 2) * (out.size() - records_at));
+    }
+  }
+}
+
+ExecutionPlan ExecutionPlan::parse(std::string bytes, std::size_t start) {
   auto lazy = std::make_unique<Undecoded>();
   lazy->document = std::move(bytes);
-  PlanReader in(lazy->document);
+  BBRM_REQUIRE_MSG(start <= lazy->document.size(),
+                   "execution plan: starts past the end of its document");
+  PlanReader in(std::string_view(lazy->document).substr(start));
   Header header = read_header(in);
-  // Every cell takes more than one byte, so a count beyond the bytes left
-  // is a length lie: reject it before reserving for it.
-  BBRM_REQUIRE_MSG(header.cells <= in.rest().size(),
+  // Every cell record takes at least kMinimalRecord's bytes, so a count
+  // beyond that many records in the bytes left is a length lie: reject it
+  // before reserving for it.
+  BBRM_REQUIRE_MSG(header.cells <= in.rest().size() / kMinimalRecord.size(),
                    "execution plan: " + std::to_string(header.cells) +
                        " cells cannot fit in the " +
                        std::to_string(in.rest().size()) + " bytes left");
-
-  // Framing only: each spec body is kept as a view and decoded on first
-  // access (see decoded()).
-  std::vector<sweep::SweepTask> cells;
-  cells.reserve(header.cells);
-  lazy->specs.reserve(header.cells);
-  for (std::size_t i = 0; i < header.cells; ++i) {
-    sweep::SweepTask& task = cells.emplace_back();
-    task.index = in.size_field("cell", "cell index");
-    task.backend = parse_backend_name(in.field("backend"));
-    task.mix_label = in.field("mix");
-    const std::size_t spec_bytes = in.size_field("spec-bytes", "spec size");
-    const auto spec = in.take(spec_bytes);
-    BBRM_REQUIRE_MSG(spec.has_value(),
-                     "execution plan: truncated spec bytes of cell " +
-                         std::to_string(task.index));
-    lazy->specs.push_back(*spec);
+  const std::size_t base_bytes = in.size_field("base-bytes", "base size");
+  const auto base = in.take(base_bytes);
+  BBRM_REQUIRE_MSG(base.has_value(),
+                   "execution plan: truncated base spec bytes");
+  if (header.cells == 0) {
+    BBRM_REQUIRE_MSG(base->empty(),
+                     "execution plan: an empty plan has no base spec");
+  } else {
+    try {
+      lazy->base = scenario::parse_canonical_spec(*base);
+    } catch (const PreconditionError& e) {
+      throw PreconditionError(
+          std::string("execution plan: malformed base spec: ") + e.what());
+    }
   }
-  const auto line = in.line();
-  BBRM_REQUIRE_MSG(!line || line->empty(),
+
+  // Framing only: each record keeps views of its mix label and delta, and
+  // becomes a task on first access (see decoded()).
+  lazy->records.reserve(header.cells);
+  for (std::size_t i = 0; i < header.cells; ++i) {
+    Undecoded::Record& record = lazy->records.emplace_back();
+    record.index = in.size_field("cell", "cell index");
+    BBRM_REQUIRE_MSG(i == 0 || lazy->records[i - 1].index < record.index,
+                     "execution plan cells must have strictly increasing "
+                     "task indices");
+    record.backend = parse_backend_name(in.field("backend"));
+    record.mix = in.field("mix");
+    const std::size_t delta_bytes = in.size_field("delta-bytes", "delta size");
+    const auto delta = in.take(delta_bytes);
+    BBRM_REQUIRE_MSG(delta.has_value(),
+                     "execution plan: truncated delta bytes of cell " +
+                         std::to_string(record.index));
+    record.delta = *delta;
+  }
+  BBRM_REQUIRE_MSG(in.rest().empty(),
                    "execution plan: trailing bytes after the last cell");
-  ExecutionPlan plan(std::move(cells), std::move(header.runner));
-  lazy->ready = std::make_unique<std::atomic<bool>[]>(plan.size());
+  lazy->tasks = std::make_unique<std::atomic<const sweep::SweepTask*>[]>(
+      header.cells);
+  ExecutionPlan plan;
+  plan.runner_name_ = std::move(header.runner);
   plan.undecoded_ = std::move(lazy);
   return plan;
 }

@@ -13,11 +13,11 @@
 // the very same cells on any number of machines and still merge
 // byte-identically to a single-process run.
 //
-// Plans serialize to deterministic bytes (the canonical spec codec per
-// cell), so a coordinator can hand a plan to remote workers as a file, a
-// resumed queue can verify it is continuing the *same* plan, and
-// `bbrsweep merge --plan` can name exactly which cells a broken union is
-// missing.
+// Plans serialize to deterministic bytes (the canonical bytes of one base
+// spec plus each cell's spec delta against it), so a coordinator can hand
+// a plan to remote workers as a file, a resumed queue can verify it is
+// continuing the *same* plan, and `bbrsweep merge --plan` can name exactly
+// which cells a broken union is missing.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +45,7 @@ class ExecutionPlan {
  public:
   ExecutionPlan();
   ~ExecutionPlan();
-  /// A copy decodes every spec of `other` first; moves keep what is
+  /// A copy decodes every cell of `other` first; moves keep what is
   /// still undecoded.
   ExecutionPlan(const ExecutionPlan& other);
   ExecutionPlan& operator=(const ExecutionPlan& other);
@@ -88,10 +88,11 @@ class ExecutionPlan {
                                   std::string runner_name = "");
 
   /// Every cell, each spec decoded: on a parsed plan the first call
-  /// decodes whatever no earlier access has.
+  /// decodes whatever no earlier access has and copies every cell into
+  /// one vector (cell() and cell_by_index() need no such copy).
   const std::vector<sweep::SweepTask>& cells() const;
-  std::size_t size() const { return cells_.size(); }
-  bool empty() const { return cells_.empty(); }
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
 
   /// Cell by plan position (not by task index).
   const sweep::SweepTask& cell(std::size_t position) const;
@@ -108,25 +109,44 @@ class ExecutionPlan {
   /// queue logs.
   std::string describe_cell(std::size_t task_index) const;
 
-  /// Deterministic byte serialization (version line, runner, then each
-  /// cell's index/backend/mix label and canonical spec bytes). Equal plans
+  /// The first line of every serialized plan: the format version.
+  static constexpr std::string_view kVersionLine = "bbrm-plan=2";
+
+  /// Deterministic byte serialization. The document is the version line,
+  /// the `runner=` and `cells=` header, then `base-bytes=N` and the
+  /// canonical bytes of one base spec (the first cell's; none when the
+  /// plan is empty), then one record per cell: `cell=`, `backend=` and
+  /// `mix=` lines and a `delta-bytes=N` block holding only the spec
+  /// fields that differ from the base (scenario::append_spec_delta). A
+  /// dense sweep's cells differ in a few axes, so a 4,000-cell reduced
+  /// plan is ~0.6 MB instead of ~4.2 MB of repeated specs. Equal plans
   /// serialize to equal bytes — the resume check of a durable queue is a
   /// byte compare. Requires cacheable specs.
   std::string serialize() const;
 
-  /// Inverse of serialize(). The plan keeps `bytes` (moved in, not
-  /// copied) and checks all of its framing here: the version line, the
-  /// header, each cell's index/backend/mix/spec-bytes lines, increasing
-  /// indices and trailing bytes, each a PreconditionError. Length fields
-  /// are bounded by the bytes that remain, so a lying count or spec size
-  /// is a PreconditionError, never a huge allocation.
+  /// serialize(), appended to `out` (a queue writes its layout stamp
+  /// first and the plan after it, in one buffer).
+  void append_serialized(std::string& out) const;
+
+  /// Inverse of serialize(), reading `bytes` from offset `start` on (a
+  /// queue's plan file may open with a layout stamp). The plan keeps
+  /// `bytes` (moved in, not copied) and checks all of its framing here:
+  /// the version line, the header, the base spec, each cell's
+  /// index/backend/mix/delta-bytes lines, increasing indices and trailing
+  /// bytes, each a PreconditionError; the base spec is decoded here too.
+  /// Length fields are bounded by the bytes that remain (the cell count
+  /// by the shortest possible record), so a lying count or size is a
+  /// PreconditionError, never a huge allocation. Any other version line,
+  /// `bbrm-plan=1` included, is refused with a message naming it.
   ///
-  /// A cell's canonical spec is decoded on its first access — cell,
-  /// cell_by_index, cells, describe_cell or serialize — once per cell,
-  /// even when threads race for it. So a worker decodes only the cells it
-  /// claims, and a malformed spec body surfaces at that first access as a
-  /// PreconditionError naming the cell, not here.
-  static ExecutionPlan parse(std::string bytes);
+  /// A cell's spec is decoded on its first access — cell, cell_by_index,
+  /// cells, describe_cell or serialize — by applying its delta to a copy
+  /// of the base, once per cell, even when threads race for it. So a
+  /// worker decodes only the cells it claims, and a malformed delta
+  /// surfaces at that first access as a PreconditionError naming the
+  /// cell, not here. A decoded cell has the canonical bytes of the cell
+  /// that was serialized, so cache keys and describe_cell are unchanged.
+  static ExecutionPlan parse(std::string bytes, std::size_t start = 0);
 
   /// The header fields of a serialized plan, parsed from its first lines
   /// alone — a million-cell plan's size and runner cost three getlines,
@@ -143,12 +163,13 @@ class ExecutionPlan {
  private:
   ExecutionPlan(std::vector<sweep::SweepTask> cells, std::string runner_name);
 
-  /// parse()'s document and each cell's decode state (execution_plan.cc).
+  /// parse()'s document, each cell's framing and the cells decoded so far
+  /// (execution_plan.cc).
   struct Undecoded;
-  /// The cell at `position` with its spec decoded.
+  /// The cell at `position`, decoded on a parsed plan's first access.
   const sweep::SweepTask& decoded(std::size_t position) const;
 
-  /// Parsed cells hold a default spec until decoded() fills it in.
+  /// Every cell of a built plan; a parsed plan fills it on cells().
   mutable std::vector<sweep::SweepTask> cells_;
   std::string runner_name_;
   std::unique_ptr<Undecoded> undecoded_;  ///< null: every spec decoded

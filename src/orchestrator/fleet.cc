@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "common/require.h"
 #include "obs/log.h"
@@ -153,10 +152,6 @@ pid_t spawn(const std::vector<std::string>& argv) {
   return pid;
 }
 
-void sleep_s(double seconds) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
 }  // namespace
 
 ScaleInputs gather_scale_inputs(const WorkQueue& queue) {
@@ -217,23 +212,18 @@ FleetReport run_fleet(const FleetOptions& options) {
                    "fleet needs the bbrsweep binary path to exec");
 
   const WorkQueue queue(options.queue_dir);
-  double waited = 0.0;
-  while (!queue.has_plan()) {
-    BBRM_REQUIRE_MSG(waited < options.plan_wait_s,
-                     "no plan appeared in " + options.queue_dir +
-                         " (did the coordinator start?)");
-    if (waited == 0.0 && !options.quiet) {
-      obs::log(obs::LogLevel::kInfo, "fleet waiting for a plan in %s",
-               options.queue_dir.c_str());
-    }
-    sleep_s(options.poll_s);
-    waited += options.poll_s;
+  if (!queue.has_plan() && !options.quiet) {
+    obs::log(obs::LogLevel::kInfo, "fleet waiting for a plan in %s",
+             options.queue_dir.c_str());
   }
+  BBRM_REQUIRE_MSG(queue.wait_for_plan(options.plan_wait_s, options.poll_s),
+                   "no plan appeared in " + options.queue_dir +
+                       " (did the coordinator start?)");
   // The header lines alone give the size — a million-cell plan is never
   // parsed just to know when the fleet may stand down.
-  const auto size_hint = queue.plan_size_hint();
+  const auto header = queue.plan_header();
   const std::size_t plan_size =
-      size_hint ? *size_hint : queue.load_plan().size();
+      header ? header->cells : queue.load_plan().size();
 
   const bool autoscaling = options.autoscale.has_value();
   const AutoscalePolicy policy =

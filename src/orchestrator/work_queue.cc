@@ -226,6 +226,23 @@ bool has_layout_stamp(std::string_view bytes) {
   return bytes.substr(0, kLayoutStamp.size()) == kLayoutStamp;
 }
 
+/// Where the plan document starts in a plan file's bytes.
+std::size_t plan_offset(std::string_view file_bytes) {
+  return has_layout_stamp(file_bytes) ? kLayoutStamp.size() : 0;
+}
+
+/// Refuse a plan file written in another plan format: a queue directory
+/// seeded by an older build cannot be resumed, only replaced.
+void require_plan_format(std::string_view file_bytes, const std::string& dir) {
+  std::string_view version = file_bytes.substr(plan_offset(file_bytes));
+  version = version.substr(0, std::min<std::size_t>(version.find('\n'), 64));
+  BBRM_REQUIRE_MSG(version == ExecutionPlan::kVersionLine,
+                   "queue directory " + dir + " holds a plan in format '" +
+                       std::string(version) + "', but this build reads '" +
+                       std::string(ExecutionPlan::kVersionLine) +
+                       "' only; use a fresh queue directory");
+}
+
 /// Result-log record framing. One record is
 ///
 ///   u32 magic  u32 error_len  u32 payload_len  u32 flags(bit0=ok)
@@ -484,6 +501,11 @@ std::string default_worker_id() {
                             std::to_string(::getpid()));
 }
 
+ExecutionPlan parse_plan_file(std::string bytes) {
+  const std::size_t start = plan_offset(bytes);
+  return ExecutionPlan::parse(std::move(bytes), start);
+}
+
 std::size_t segment_cells_for(std::size_t cells) {
   constexpr std::size_t kClaimUnits = 64;
   constexpr std::size_t kMaxSegment = 512;
@@ -717,15 +739,14 @@ QueueLayout WorkQueue::layout() const {
   return *layout_;
 }
 
-std::optional<std::size_t> WorkQueue::plan_size_hint() const {
+std::optional<ExecutionPlan::Header> WorkQueue::plan_header() const {
   // 4 KiB covers the stamp plus the three header lines of any plan; a
   // million-cell document never gets read for its size.
   const auto prefix = read_file_prefix(plan_path(), 4096);
   if (!prefix) return std::nullopt;
-  std::string_view header = *prefix;
-  if (has_layout_stamp(header)) header.remove_prefix(kLayoutStamp.size());
   try {
-    return ExecutionPlan::peek_header(header).cells;
+    return ExecutionPlan::peek_header(
+        std::string_view(*prefix).substr(plan_offset(*prefix)));
   } catch (...) {
     return std::nullopt;
   }
@@ -786,15 +807,15 @@ void WorkQueue::seed(const ExecutionPlan& plan, std::size_t batch,
   // per group of cells, so the segment layout reuses it wholesale and
   // only the result side changes representation.
   const std::size_t chunk = segment ? segment_cells : batch;
-  std::string bytes;
+  std::string bytes(segment ? kLayoutStamp : std::string_view());
   {
     obs::Span span("serialize", "queue");
-    bytes = plan.serialize();
+    plan.append_serialized(bytes);
     span.arg("bytes", static_cast<std::uint64_t>(bytes.size()));
   }
-  if (segment) bytes.insert(0, kLayoutStamp);
   if (fs::exists(plan_path())) {
     const std::string stored = read_text_file(plan_path()).value_or("");
+    require_plan_format(stored, dir_);
     BBRM_REQUIRE_MSG(
         has_layout_stamp(stored) == segment,
         "queue directory " + dir_ + " uses the " +
@@ -931,14 +952,29 @@ std::optional<double> WorkQueue::stored_skew_margin_s(
   return v;
 }
 
+bool WorkQueue::wait_for_plan(double limit_s, double poll_s) const {
+  const auto start = std::chrono::steady_clock::now();
+  double interval_s = std::min(0.01, poll_s);
+  while (!has_plan()) {
+    const double waited_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    if (waited_s >= limit_s) return false;
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        std::min(interval_s, limit_s - waited_s)));
+    interval_s = std::min(interval_s * 2.0, poll_s);
+  }
+  return true;
+}
+
 ExecutionPlan WorkQueue::load_plan() const {
   BBRM_REQUIRE_MSG(has_plan(), "queue " + dir_ + " has no plan yet");
   obs::Span span("plan-load", "queue");
   std::string bytes = read_text_file(plan_path()).value_or("");
-  if (has_layout_stamp(bytes)) bytes.erase(0, kLayoutStamp.size());
+  require_plan_format(bytes, dir_);
   // The plan keeps the document and decodes each spec on first use, so a
   // worker pays only for the cells it claims.
-  ExecutionPlan plan = ExecutionPlan::parse(std::move(bytes));
+  ExecutionPlan plan = parse_plan_file(std::move(bytes));
   span.arg("cells", static_cast<std::uint64_t>(plan.size()));
   return plan;
 }
@@ -1291,7 +1327,8 @@ QueueCounters WorkQueue::counters() const {
     c.pending = p.pending;
     c.active = p.active;
     c.done = p.done;
-    c.total = plan_size_hint().value_or(p.pending + p.active + p.done);
+    const auto header = plan_header();
+    c.total = header ? header->cells : p.pending + p.active + p.done;
     return c;
   }
   const auto stored = read_stored_counters(counters_path());

@@ -6,8 +6,10 @@
 // ones — rename atomicity and reasonably coherent mtimes are the only
 // requirements):
 //
-//   <dir>/plan.bbrplan            the serialized ExecutionPlan (layout 2
-//                                 prefixes it with "bbrm-queue-layout=2")
+//   <dir>/plan.bbrplan            the serialized ExecutionPlan (format
+//                                 bbrm-plan=2: one base spec plus per-
+//                                 cell deltas; layout 2 prefixes it with
+//                                 "bbrm-queue-layout=2")
 //   <dir>/pending/<index>.cell    one file per unclaimed cell
 //   <dir>/pending/<index>.bK.batch   one file per unclaimed K-cell batch
 //                                 (first member's index; members listed
@@ -239,15 +241,25 @@ class WorkQueue {
             std::size_t segment_cells = 0) const;
 
   bool has_plan() const;
+  /// Wait for a coordinator to seed the plan: check at once, then poll
+  /// from 10 ms on, doubling the interval up to `poll_s`, so a fleet or
+  /// worker started beside its coordinator sees the plan within a few
+  /// milliseconds of it landing. False when `limit_s` passes first (0
+  /// checks once).
+  bool wait_for_plan(double limit_s, double poll_s) const;
+  /// The stored plan (parse_plan_file). A plan in another format version
+  /// is refused with a message naming the version and asking for a fresh
+  /// queue directory.
   ExecutionPlan load_plan() const;
 
   /// The stored layout, detected from the plan file's stamp. kPerCell
   /// before a plan exists (and for every pre-stamp directory).
   QueueLayout layout() const;
 
-  /// The stored plan's cell count from its header lines alone — no full
-  /// parse of a million specs. nullopt when no plan is stored.
-  std::optional<std::size_t> plan_size_hint() const;
+  /// The stored plan's runner and cell count from its header lines alone
+  /// — no full parse of a million cells. nullopt when no plan is stored
+  /// or its header does not parse.
+  std::optional<ExecutionPlan::Header> plan_header() const;
 
   /// The seed-time segment size from the counters file; 0 on a per-cell
   /// layout queue (or before a plan is seeded). The default claim cap.
@@ -522,6 +534,12 @@ std::string sanitize_worker_id(std::string id);
 
 /// Filesystem-safe default worker identity: <hostname>-<pid>.
 std::string default_worker_id();
+
+/// Parse the bytes of a queue's plan file (plan.bbrplan): the
+/// ExecutionPlan document past the segment layout stamp, when the file
+/// opens with one. WorkQueue::load_plan and `bbrsweep merge --plan` read
+/// plan files through it.
+ExecutionPlan parse_plan_file(std::string bytes);
 
 /// The segment size a plan of `cells` cells is seeded with by default:
 /// ceil(cells / 64) clamped to [1, 512] — about 64 claim units per plan,

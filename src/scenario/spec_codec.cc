@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <cstring>
 #include <vector>
 
 #include "common/hash.h"
@@ -94,43 +95,69 @@ net::Discipline decode_discipline(std::string_view text) {
   return net::Discipline::kDropTail;
 }
 
+/// Value equality as the canonical bytes see it: doubles compare bitwise
+/// (0.0 and -0.0 encode differently), everything else by ==.
+template <typename T>
+bool same_value(const T& a, const T& b) {
+  return a == b;
+}
+
+bool same_value(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_value(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 /// One serialized field: canonical key, value encoder (appends), value
-/// decoder.
+/// decoder, and whether two specs hold the same value.
 struct FieldCodec {
   std::string_view key;
   void (*encode)(const ExperimentSpec&, std::string&);
   void (*decode)(ExperimentSpec&, std::string_view);
+  bool (*equal)(const ExperimentSpec&, const ExperimentSpec&);
 };
 
-#define BBRM_FIELD(name, encode_expr, decode_stmt)                          \
+#define BBRM_FIELD(name, member, encode_expr, decode_stmt)                  \
   FieldCodec {                                                              \
     name, [](const ExperimentSpec& s, std::string& out) { encode_expr; },   \
-        [](ExperimentSpec& s, std::string_view v) { decode_stmt; }          \
+        [](ExperimentSpec& s, std::string_view v) { decode_stmt; },         \
+        [](const ExperimentSpec& a, const ExperimentSpec& b) {              \
+          return same_value(a.member, b.member);                            \
+        }                                                                   \
   }
 #define BBRM_DOUBLE_FIELD(name, expr)                                       \
-  BBRM_FIELD(name, append_exact_number(out, s.expr),                        \
+  BBRM_FIELD(name, expr, append_exact_number(out, s.expr),                  \
              s.expr = decode_double(v))
-#define BBRM_BOOL_FIELD(name, expr) \
-  BBRM_FIELD(name, out += s.expr ? '1' : '0', s.expr = decode_bool(v))
+#define BBRM_BOOL_FIELD(name, expr)                                         \
+  BBRM_FIELD(name, expr, out += s.expr ? '1' : '0',                         \
+             s.expr = decode_bool(v))
 
 /// Every simulation-relevant field, in canonical emission order. A new
 /// ExperimentSpec/FluidConfig field MUST be added here (the round-trip
 /// test in tests/cache_test.cc exists to catch forgetting).
 constexpr FieldCodec kFields[] = {
-    BBRM_FIELD("mix.label", out += s.mix.label, s.mix.label.assign(v)),
-    BBRM_FIELD("mix.flows", encode_flows(out, s.mix.flows),
+    BBRM_FIELD("mix.label", mix.label, out += s.mix.label,
+               s.mix.label.assign(v)),
+    BBRM_FIELD("mix.flows", mix.flows, encode_flows(out, s.mix.flows),
                decode_flows(v, s.mix.flows)),
     BBRM_DOUBLE_FIELD("capacity_pps", capacity_pps),
     BBRM_DOUBLE_FIELD("bottleneck_delay_s", bottleneck_delay_s),
     BBRM_DOUBLE_FIELD("min_rtt_s", min_rtt_s),
     BBRM_DOUBLE_FIELD("max_rtt_s", max_rtt_s),
-    BBRM_FIELD("flow_rtts_s", append_exact_numbers(out, s.flow_rtts_s),
+    BBRM_FIELD("flow_rtts_s", flow_rtts_s,
+               append_exact_numbers(out, s.flow_rtts_s),
                s.flow_rtts_s = decode_doubles(v)),
     BBRM_DOUBLE_FIELD("buffer_bdp", buffer_bdp),
-    BBRM_FIELD("discipline", out += encode_discipline(s.discipline),
+    BBRM_FIELD("discipline", discipline,
+               out += encode_discipline(s.discipline),
                s.discipline = decode_discipline(v)),
     BBRM_DOUBLE_FIELD("duration_s", duration_s),
-    BBRM_FIELD("seed", append_u64(out, s.seed), s.seed = decode_u64(v)),
+    BBRM_FIELD("seed", seed, append_u64(out, s.seed),
+               s.seed = decode_u64(v)),
     BBRM_DOUBLE_FIELD("fluid.step_s", fluid.step_s),
     BBRM_DOUBLE_FIELD("fluid.record_interval_s", fluid.record_interval_s),
     BBRM_DOUBLE_FIELD("fluid.k_time", fluid.k_time),
@@ -159,7 +186,7 @@ constexpr FieldCodec kFields[] = {
     BBRM_DOUBLE_FIELD("fluid.startup_gain", fluid.startup_gain),
     BBRM_DOUBLE_FIELD("fluid.startup_initial_window_pkts",
                       fluid.startup_initial_window_pkts),
-    BBRM_FIELD("fluid.startup_full_bw_rounds",
+    BBRM_FIELD("fluid.startup_full_bw_rounds", fluid.startup_full_bw_rounds,
                out += std::to_string(s.fluid.startup_full_bw_rounds),
                s.fluid.startup_full_bw_rounds = decode_int(v)),
 };
@@ -170,12 +197,13 @@ constexpr FieldCodec kFields[] = {
 
 constexpr std::size_t kFieldCount = std::size(kFields);
 
-/// The table position of `key`; `guess` (the position after the previous
-/// field) answers canonically ordered input in one compare. kFieldCount
-/// when the key is unknown.
+/// The table position of `key`, searched from `guess` (the position after
+/// the previous field) onward first: canonically ordered input finds a
+/// full spec's next field in one compare and a delta's a few further on.
+/// kFieldCount when the key is unknown.
 std::size_t field_position(std::string_view key, std::size_t guess) {
-  if (guess < kFieldCount && kFields[guess].key == key) return guess;
-  for (std::size_t i = 0; i < kFieldCount; ++i) {
+  for (std::size_t k = 0; k < kFieldCount; ++k) {
+    const std::size_t i = (guess + k) % kFieldCount;
     if (kFields[i].key == key) return i;
   }
   return kFieldCount;
@@ -183,43 +211,31 @@ std::size_t field_position(std::string_view key, std::size_t guess) {
 
 constexpr std::string_view kVersionLine = "bbrm-spec=1";
 
-}  // namespace
-
-bool spec_cacheable(const ExperimentSpec& spec) {
-  return !static_cast<bool>(spec.bbr_init);
-}
-
-void append_canonical_spec(std::string& out, const ExperimentSpec& spec) {
+void require_encodable(const ExperimentSpec& spec) {
   BBRM_REQUIRE_MSG(spec_cacheable(spec),
                    "specs with a custom bbr_init have no canonical bytes");
   BBRM_REQUIRE_MSG(spec.mix.label.find('\n') == std::string::npos,
                    "mix labels must be single-line");
-  out += kVersionLine;
+}
+
+void append_field(std::string& out, const FieldCodec& field,
+                  const ExperimentSpec& spec) {
+  out += field.key;
+  out += '=';
+  field.encode(spec, out);
   out += '\n';
-  for (const FieldCodec& field : kFields) {
-    out += field.key;
-    out += '=';
-    field.encode(spec, out);
-    out += '\n';
-  }
 }
 
-std::string canonical_spec_string(const ExperimentSpec& spec) {
-  std::string out;
-  append_canonical_spec(out, spec);
-  return out;
-}
-
-std::string canonical_spec_hash(const ExperimentSpec& spec) {
-  return hex64(fnv1a64(canonical_spec_string(spec)));
-}
-
-ExperimentSpec parse_canonical_spec(std::string_view bytes) {
-  ExperimentSpec spec;
+/// The one field parser. A full spec (`delta` false) starts with the
+/// version line and names every field, in any order; a delta names a
+/// subset of the fields in canonical order and overwrites only those.
+/// Both reject unknown, duplicate and malformed lines.
+void decode_fields(ExperimentSpec& spec, std::string_view bytes,
+                   bool delta) {
   std::array<bool, kFieldCount> seen{};
   std::size_t seen_count = 0;
   std::size_t next = 0;
-  bool version_seen = false;
+  bool version_seen = delta;
   std::string_view rest = bytes;
   while (const auto text = next_line(rest)) {
     const std::string_view line = *text;
@@ -242,17 +258,61 @@ ExperimentSpec parse_canonical_spec(std::string_view bytes) {
     BBRM_REQUIRE_MSG(!seen[id],
                      "spec codec: duplicate field '" + std::string(key) +
                          "'");
+    BBRM_REQUIRE_MSG(!delta || id >= next,
+                     "spec codec: delta field '" + std::string(key) +
+                         "' is out of canonical order");
     seen[id] = true;
     ++seen_count;
     next = id + 1;
     kFields[id].decode(spec, line.substr(eq + 1));
   }
+  if (delta) return;
   BBRM_REQUIRE_MSG(version_seen, "spec codec: missing version line");
   BBRM_REQUIRE_MSG(seen_count == kFieldCount,
                    "spec codec: missing fields (got " +
                        std::to_string(seen_count) + " of " +
                        std::to_string(kFieldCount) + ")");
+}
+
+}  // namespace
+
+bool spec_cacheable(const ExperimentSpec& spec) {
+  return !static_cast<bool>(spec.bbr_init);
+}
+
+void append_canonical_spec(std::string& out, const ExperimentSpec& spec) {
+  require_encodable(spec);
+  out += kVersionLine;
+  out += '\n';
+  for (const FieldCodec& field : kFields) append_field(out, field, spec);
+}
+
+std::string canonical_spec_string(const ExperimentSpec& spec) {
+  std::string out;
+  append_canonical_spec(out, spec);
+  return out;
+}
+
+std::string canonical_spec_hash(const ExperimentSpec& spec) {
+  return hex64(fnv1a64(canonical_spec_string(spec)));
+}
+
+ExperimentSpec parse_canonical_spec(std::string_view bytes) {
+  ExperimentSpec spec;
+  decode_fields(spec, bytes, /*delta=*/false);
   return spec;
+}
+
+void append_spec_delta(std::string& out, const ExperimentSpec& base,
+                       const ExperimentSpec& spec) {
+  require_encodable(spec);
+  for (const FieldCodec& field : kFields) {
+    if (!field.equal(base, spec)) append_field(out, field, spec);
+  }
+}
+
+void apply_spec_delta(ExperimentSpec& spec, std::string_view delta) {
+  decode_fields(spec, delta, /*delta=*/true);
 }
 
 }  // namespace bbrmodel::scenario

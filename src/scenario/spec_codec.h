@@ -36,6 +36,22 @@ void append_canonical_spec(std::string& out, const ExperimentSpec& spec);
 /// duplicate, or missing fields, malformed lines, and out-of-range values.
 ExperimentSpec parse_canonical_spec(std::string_view bytes);
 
+/// Append the delta of `spec` against `base`: the canonical key=value
+/// lines of exactly the fields whose values differ (doubles bitwise, the
+/// other fields by ==), in canonical order, with no version line. Equal
+/// specs have an empty delta. Same precondition as
+/// append_canonical_spec.
+void append_spec_delta(std::string& out, const ExperimentSpec& base,
+                       const ExperimentSpec& spec);
+
+/// Inverse of append_spec_delta: overwrite the fields `delta` names in
+/// `spec`, which holds the decoded base. Applying a delta to its base
+/// gives a spec with the original's canonical bytes. The same field
+/// parser as parse_canonical_spec, but the lines must be a subset in
+/// canonical order: unknown, duplicate, out-of-order and malformed lines
+/// throw PreconditionError, leaving `spec` partly overwritten.
+void apply_spec_delta(ExperimentSpec& spec, std::string_view delta);
+
 /// The fixed-width hex "spec key" of a spec: FNV-1a 64 over its canonical
 /// bytes. This is the content-address fragment shared by cache cell file
 /// names, execution-plan listings, and merge diagnostics, so a cell can be

@@ -160,6 +160,63 @@ TEST(SpecCodec, RejectsMalformedInput) {
                PreconditionError);
 }
 
+TEST(SpecCodec, DeltaHoldsOnlyDifferingFieldsAndAppliesBack) {
+  const auto base = nondefault_spec();
+  std::string delta;
+  scenario::append_spec_delta(delta, base, base);
+  EXPECT_TRUE(delta.empty()) << "a spec has no delta against itself";
+
+  auto spec = base;
+  spec.seed += 1;
+  spec.buffer_bdp = 0.75;
+  spec.flow_rtts_s[2] = -0.0;
+  spec.mix.flows.back() = scenario::CcaKind::kReno;
+  scenario::append_spec_delta(delta, base, spec);
+  // Canonical order, one line per changed field, nothing else.
+  const std::string full = scenario::canonical_spec_string(spec);
+  std::string expected;
+  for (const std::string key :
+       {"mix.flows", "flow_rtts_s", "buffer_bdp", "seed"}) {
+    const auto at = full.find("\n" + key + "=") + 1;
+    expected += full.substr(at, full.find('\n', at) + 1 - at);
+  }
+  EXPECT_EQ(delta, expected);
+
+  auto decoded = scenario::parse_canonical_spec(
+      scenario::canonical_spec_string(base));
+  scenario::apply_spec_delta(decoded, delta);
+  EXPECT_EQ(scenario::canonical_spec_string(decoded), full);
+
+  // Doubles compare bitwise: 0.0 and -0.0 encode differently.
+  auto zero = base;
+  zero.buffer_bdp = 0.0;
+  auto negative_zero = base;
+  negative_zero.buffer_bdp = -0.0;
+  delta.clear();
+  scenario::append_spec_delta(delta, zero, negative_zero);
+  EXPECT_EQ(delta, "buffer_bdp=-0\n");
+}
+
+TEST(SpecCodec, DeltaRejectsWhatAFullSpecCannotSay) {
+  auto spec = scenario::parse_canonical_spec(
+      scenario::canonical_spec_string(nondefault_spec()));
+  const auto rejects = [&](const std::string& delta) {
+    auto copy = spec;
+    EXPECT_THROW(scenario::apply_spec_delta(copy, delta), PreconditionError)
+        << delta;
+  };
+  rejects("seed=1\nbuffer_bdp=2\n");      // out of canonical order
+  rejects("buffer_bdp=1\nbuffer_bdp=2\n");  // duplicate
+  rejects("bbrm-spec=1\nseed=1\n");        // no version line in a delta
+  rejects("surprise=1\n");                 // unknown field
+  rejects("seed\n");                       // malformed line
+  rejects("seed=-1\n");                    // out-of-range value
+  auto copy = spec;
+  scenario::apply_spec_delta(copy, "");
+  EXPECT_EQ(scenario::canonical_spec_string(copy),
+            scenario::canonical_spec_string(spec));
+}
+
 TEST(SpecCodec, CustomBbrInitIsUncacheable) {
   auto spec = nondefault_spec();
   EXPECT_TRUE(scenario::spec_cacheable(spec));

@@ -26,6 +26,7 @@
 #include "common/require.h"
 #include "common/units.h"
 #include "orchestrator/execution_plan.h"
+#include "orchestrator/fleet.h"
 #include "orchestrator/work_queue.h"
 #include "scenario/spec_codec.h"
 #include "sweep/merge.h"
@@ -160,25 +161,54 @@ TEST(ExecutionPlan, ParseRejectsMalformedDocuments) {
     damaged.replace(at, damaged.find('\n', at) - at, value);
     return damaged;
   };
-  EXPECT_THROW(ExecutionPlan::parse(lie("spec-bytes", "99999999999999")),
+  EXPECT_THROW(ExecutionPlan::parse(lie("delta-bytes", "99999999999999")),
+               PreconditionError);
+  EXPECT_THROW(ExecutionPlan::parse(lie("base-bytes", "99999999999999")),
                PreconditionError);
   EXPECT_THROW(ExecutionPlan::parse(lie("cells", "999999999999999")),
                PreconditionError);
+  // A count that fits the bytes left but not that many records is a lie
+  // too: it is refused before anything is reserved for it.
+  const std::size_t left = bytes.size() - bytes.find("\nbase-bytes=") - 1;
+  try {
+    ExecutionPlan::parse(lie("cells", std::to_string(left / 4)));
+    ADD_FAILURE() << "a count of a quarter of the bytes left must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot fit"), std::string::npos)
+        << e.what();
+  }
+  // Other format versions are refused by name.
+  std::string v1 = bytes;
+  v1.replace(0, ExecutionPlan::kVersionLine.size(), "bbrm-plan=1");
+  try {
+    ExecutionPlan::parse(v1);
+    ADD_FAILURE() << "a bbrm-plan=1 document must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("bbrm-plan=1"), std::string::npos)
+        << e.what();
+  }
+  // A damaged base spec is framing the whole plan depends on: parse
+  // rejects it.
+  std::string bad_base = bytes;
+  bad_base.replace(bad_base.find("\nbuffer_bdp="), 12, "\nbuffer_bdq=");
+  EXPECT_THROW(ExecutionPlan::parse(bad_base), PreconditionError);
 }
 
 TEST(ExecutionPlan, ParseDefersSpecDecodingToEachCellsFirstAccess) {
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
   ASSERT_GE(plan.size(), 4u);
   const std::string bytes = plan.serialize();
-  // Damage one spec body without moving a byte of framing: an unknown
-  // field name of the same length.
+  // Damage one cell's delta without moving a byte of framing: an unknown
+  // field name of the same length (every cell's seed differs from the
+  // base's, so each delta holds a seed line).
   const std::size_t bad = 2;
   std::string damaged = bytes;
   std::size_t at = 0;
   for (std::size_t i = 0; i <= bad; ++i) at = damaged.find("\ncell=", at + 1);
-  at = damaged.find("\nbuffer_bdp=", at);
+  at = damaged.find("\nseed=", at);
   ASSERT_NE(at, std::string::npos);
-  damaged.replace(at, 12, "\nbuffer_bdq=");
+  ASSERT_LT(at, damaged.find("\ncell=", at));
+  damaged.replace(at, 6, "\nseex=");
 
   const auto parsed = ExecutionPlan::parse(damaged);  // framing is intact
   ASSERT_EQ(parsed.size(), plan.size());
@@ -239,15 +269,73 @@ TEST(ExecutionPlan, ConcurrentFirstAccessDecodesEachCellOnce) {
 }
 
 TEST(ExecutionPlan, SerializedBytesArePinned) {
-  // Plan bytes feed the cell cache keys (canonical spec bytes) and the
-  // queue's resume byte-compare, so any codec change that moves a byte
-  // must fail here. The constants are the bytes of the stream-based
-  // codec this format was first written with.
+  // Plan bytes feed the queue's resume byte-compare, and the specs they
+  // decode to feed the cell cache keys (canonical spec bytes), so any
+  // codec change that moves a byte must fail here. The plan constants are
+  // the bbrm-plan=2 (base spec plus deltas) bytes; the spec constants are
+  // the canonical bytes every bbrm-plan=1 document held verbatim, which
+  // the decoded cells must still reproduce.
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
   const std::string bytes = plan.serialize();
-  EXPECT_EQ(bytes.size(), 11950u);
-  EXPECT_EQ(fnv1a64(bytes), 0x5384ffa0038af5ffULL);
-  EXPECT_EQ(ExecutionPlan::parse(bytes).serialize(), bytes);
+  EXPECT_EQ(bytes.size(), 2281u);
+  EXPECT_EQ(fnv1a64(bytes), 0x77efd2c3d8c931b2ULL);
+  const auto parsed = ExecutionPlan::parse(bytes);
+  std::string specs;
+  for (const auto& cell : parsed.cells()) {
+    specs += scenario::canonical_spec_string(cell.spec);
+  }
+  EXPECT_EQ(specs.size(), 11324u);
+  EXPECT_EQ(fnv1a64(specs), 0xfb712a584d7c4a8aULL);
+  EXPECT_EQ(parsed.serialize(), bytes);
+}
+
+TEST(ExecutionPlan, DecodedCellsKeepTheirCanonicalBytes) {
+  // Dense, adaptive and per-flow-RTT plans: every parsed cell has the
+  // canonical spec bytes (so the cache key and describe_cell) of the
+  // cell that was serialized.
+  sweep::ParameterGrid grid;
+  grid.backends = {sweep::Backend::kReduced};
+  grid.disciplines = {net::Discipline::kDropTail, net::Discipline::kRed};
+  grid.buffers_bdp = {0.25, 2.0, 4.0, 6.0};
+  grid.flow_counts = {2, 4};
+  grid.rtt_ranges = {{0.030, 0.040}, {0.010, 0.080}};
+  grid.mixes = {sweep::homogeneous_mix(scenario::CcaKind::kBbrv1),
+                sweep::homogeneous_mix(scenario::CcaKind::kBbrv2)};
+  adaptive::RefinementPolicy policy;
+  policy.max_depth = 2;
+  scenario::ExperimentSpec rtts = small_base();
+  rtts.mix = scenario::homogeneous(scenario::CcaKind::kBbrv1, 3);
+  std::vector<sweep::SweepTask> tasks;
+  for (std::size_t i = 0; i < 4; ++i) {
+    // Lengths and signs vary: -0.0 and 0.0 encode differently.
+    rtts.flow_rtts_s.assign(i + 1, 0.02 * static_cast<double>(i + 1));
+    if (i == 2) rtts.flow_rtts_s[0] = -0.0;
+    if (i == 3) rtts.flow_rtts_s.clear();
+    tasks.push_back(sweep::make_task(i, sweep::Backend::kFluid, rtts, 42));
+  }
+  const ExecutionPlan plans[] = {
+      ExecutionPlan::dense(grid, small_base(), 42),
+      ExecutionPlan::adaptive(grid, small_base(), policy, {}),
+      ExecutionPlan::from_tasks(std::move(tasks), "backend"),
+  };
+  for (const auto& plan : plans) {
+    ASSERT_GE(plan.size(), 4u);
+    const auto parsed = ExecutionPlan::parse(plan.serialize());
+    ASSERT_EQ(parsed.size(), plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      EXPECT_EQ(scenario::canonical_spec_string(parsed.cell(i).spec),
+                scenario::canonical_spec_string(plan.cell(i).spec));
+      EXPECT_EQ(parsed.describe_cell(plan.cell(i).index),
+                plan.describe_cell(plan.cell(i).index));
+    }
+  }
+}
+
+TEST(ExecutionPlan, EmptyPlanRoundTrips) {
+  const auto plan = ExecutionPlan::from_tasks({}, "backend");
+  const auto parsed = ExecutionPlan::parse(plan.serialize());
+  EXPECT_TRUE(parsed.empty());
+  EXPECT_EQ(parsed.serialize(), plan.serialize());
 }
 
 TEST(ExecutionPlan, AdHocTasksRequireIncreasingIndices) {
@@ -460,6 +548,99 @@ TEST(WorkQueue, SeedIsIdempotentAndRejectsDifferentPlans) {
   const auto other = ExecutionPlan::dense(small_grid(), small_base(), 43);
   EXPECT_THROW(queue.seed(other), PreconditionError)
       << "a different plan must never corrupt an existing queue";
+}
+
+TEST(WorkQueue, OlderPlanFormatIsRefusedByName) {
+  // A queue directory seeded by a bbrm-plan=1 build cannot be resumed:
+  // workers and re-seeding coordinators both refuse it, naming the
+  // version and asking for a fresh directory.
+  const std::string dir = scratch_dir("wq_plan_v1");
+  fs::create_directories(dir);
+  {
+    std::ofstream out(fs::path(dir) / "plan.bbrplan", std::ios::binary);
+    out << "bbrm-queue-layout=2\nbbrm-plan=1\nrunner=backend\ncells=0\n";
+  }
+  WorkQueue queue(dir, 60.0);
+  ASSERT_TRUE(queue.has_plan());
+  const auto expect_refusal = [](const auto& action) {
+    try {
+      action();
+      ADD_FAILURE() << "a bbrm-plan=1 queue must be refused";
+    } catch (const PreconditionError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("bbrm-plan=1"), std::string::npos) << message;
+      EXPECT_NE(message.find("fresh"), std::string::npos) << message;
+    }
+  };
+  expect_refusal([&] { queue.load_plan(); });
+  const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
+  expect_refusal([&] { queue.seed(plan, 1, 4); });
+}
+
+TEST(WorkQueue, WaitForPlanSeesTheSeedWithinMilliseconds) {
+  const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
+  WorkQueue queue(scratch_dir("wq_plan_wait"), 60.0);
+  // A zero limit checks once.
+  EXPECT_FALSE(queue.wait_for_plan(0.0, 0.5));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(queue.wait_for_plan(0.05, 0.5));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+
+  std::chrono::steady_clock::time_point seeded;
+  std::thread coordinator([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    seeded = std::chrono::steady_clock::now();
+    queue.seed(plan, 1, 4);
+  });
+  // The --poll ceiling (0.5 s) is not the latency: polls start at 10 ms.
+  EXPECT_TRUE(queue.wait_for_plan(10.0, 0.5));
+  const auto seen = std::chrono::steady_clock::now();
+  coordinator.join();
+  EXPECT_LT(seen - seeded, std::chrono::milliseconds(100));
+}
+
+TEST(Fleet, StartedBeforeItsCoordinatorSpawnsWorkersPromptly) {
+  // The fleet's "worker" is a script that only marks its start, so the
+  // test times plan-wait plus spawn alone. It exits without progress, and
+  // with one strike allowed the fleet stands down by itself afterwards.
+  const std::string dir = scratch_dir("fleet_early");
+  const fs::path marker = fs::path(::testing::TempDir()) / "fleet_early.mark";
+  const fs::path script = fs::path(::testing::TempDir()) / "fleet_early.sh";
+  fs::remove(marker);
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\n: > '" << marker.string() << "'\n";
+  }
+  fs::permissions(script, fs::perms::owner_all);
+
+  FleetOptions options;
+  options.queue_dir = dir;
+  options.workers = 1;
+  options.self_path = script.string();
+  options.poll_s = 0.5;
+  options.plan_wait_s = 10.0;
+  options.max_strikes = 1;
+  options.quiet = true;
+  FleetReport report;
+  std::thread fleet([&] { report = run_fleet(options); });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  EXPECT_FALSE(fs::exists(marker)) << "spawned before any plan existed";
+  const auto seeding = std::chrono::steady_clock::now();
+  WorkQueue(dir, 60.0).seed(
+      ExecutionPlan::dense(small_grid(), small_base(), 42), 1, 4);
+  while (!fs::exists(marker) &&
+         std::chrono::steady_clock::now() - seeding <
+             std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto spawned = std::chrono::steady_clock::now();
+  fleet.join();
+  EXPECT_TRUE(fs::exists(marker));
+  EXPECT_LT(spawned - seeding, std::chrono::milliseconds(100));
+  EXPECT_GE(report.spawned, 1u);
+  EXPECT_FALSE(report.completed);
 }
 
 TEST(WorkQueue, ExpiredLeaseIsReEnqueuedAndFreshOnesAreNot) {

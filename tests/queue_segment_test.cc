@@ -126,8 +126,9 @@ TEST(SegmentQueue, SeedPacksSegmentsAndWritesCounters) {
   queue.seed(plan, /*batch=*/1, /*segment_cells=*/4);
 
   EXPECT_EQ(queue.layout(), QueueLayout::kSegment);
-  ASSERT_TRUE(queue.plan_size_hint().has_value());
-  EXPECT_EQ(*queue.plan_size_hint(), plan.size());
+  ASSERT_TRUE(queue.plan_header().has_value());
+  EXPECT_EQ(queue.plan_header()->cells, plan.size());
+  EXPECT_EQ(queue.plan_header()->runner, plan.runner_name());
 
   // 12 cells in 4-cell segments: three pending entries, not twelve.
   std::size_t pending_entries = 0;

@@ -695,16 +695,7 @@ int run_merge(int argc, char** argv) {
   sweep::MergeContext context;
   std::optional<orchestrator::ExecutionPlan> plan;
   if (plan_path) {
-    // A plan pulled out of a segment-layout queue carries the queue's
-    // layout stamp as its first line; the plan text proper follows it.
-    std::string plan_bytes = read_file_or_fail(*plan_path);
-    constexpr std::string_view kStampPrefix = "bbrm-queue-layout=";
-    if (plan_bytes.compare(0, kStampPrefix.size(), kStampPrefix) == 0) {
-      const auto eol = plan_bytes.find('\n');
-      plan_bytes.erase(0, eol == std::string::npos ? plan_bytes.size()
-                                                   : eol + 1);
-    }
-    plan = orchestrator::ExecutionPlan::parse(std::move(plan_bytes));
+    plan = orchestrator::parse_plan_file(read_file_or_fail(*plan_path));
     context.expected_cells = plan->size();
     context.describe = [&plan](std::size_t index) {
       return plan->describe_cell(index);
@@ -830,10 +821,6 @@ orchestrator::ExecutionPlan build_plan(const Options& opt) {
   if (!opt.quiet) report_plan(refined);
   return orchestrator::ExecutionPlan::from_refinement(
       refined, opt.run.base_seed, opt.runner_name);
-}
-
-void sleep_s(double seconds) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 /// Trace this process into the queue's DIR/workers/<id>.trace shard, the
@@ -1095,18 +1082,16 @@ int run_worker_cmd(int argc, char** argv) {
   }
   if (!queue_dir) fail("worker needs --queue-dir DIR");
 
-  double waited = 0.0;
-  while (!orchestrator::WorkQueue(*queue_dir, lease_s).has_plan()) {
-    if (waited == 0.0 && !quiet) {
+  {
+    const orchestrator::WorkQueue probe(*queue_dir, lease_s);
+    if (!probe.has_plan() && !quiet) {
       obs::log(obs::LogLevel::kInfo, "waiting for a plan in %s",
                queue_dir->c_str());
     }
-    if (waited >= plan_wait_s) {
+    if (!probe.wait_for_plan(plan_wait_s, poll_s)) {
       fail("no plan appeared in " + *queue_dir + " (did the coordinator "
            "start?)");
     }
-    sleep_s(poll_s);
-    waited += poll_s;
   }
   // Adopt the coordinator's lease parameters unless given explicitly: a
   // worker with a shorter lease than its peers' heartbeat cadence would
@@ -1323,30 +1308,18 @@ int run_status(int argc, char** argv) {
     }
     return 0;
   }
-  // Plan header from the file's first few lines (past any layout stamp):
+  // Plan header from the file's first few lines (WorkQueue::plan_header):
   // status must not deserialize a million-cell plan just to print its
   // size and runner.
   std::size_t plan_cells = 0;
   std::string runner = "?";
-  {
-    std::ifstream in(queue.dir() + "/plan.bbrplan", std::ios::binary);
-    std::string prefix(4096, '\0');
-    in.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-    prefix.resize(static_cast<std::size_t>(in.gcount()));
-    constexpr std::string_view kStampPrefix = "bbrm-queue-layout=";
-    if (prefix.compare(0, kStampPrefix.size(), kStampPrefix) == 0) {
-      const auto eol = prefix.find('\n');
-      prefix.erase(0, eol == std::string::npos ? prefix.size() : eol + 1);
-    }
-    try {
-      const auto header = orchestrator::ExecutionPlan::peek_header(prefix);
-      plan_cells = header.cells;
-      runner = header.runner;
-    } catch (const std::exception&) {
-      const auto plan = queue.load_plan();
-      plan_cells = plan.size();
-      runner = plan.runner_name();
-    }
+  if (const auto header = queue.plan_header()) {
+    plan_cells = header->cells;
+    runner = header->runner;
+  } else {
+    const auto plan = queue.load_plan();
+    plan_cells = plan.size();
+    runner = plan.runner_name();
   }
   const auto counters = queue.counters();
   const auto workers = queue.read_worker_stats();
